@@ -9,8 +9,7 @@ forward-Euler bridge to discrete residual networks.
 
 from .core import (DEFAULT_CONFIG, BlowupError, FlowEvalError, IntegratorConfig,
                    JacobianRecord, Schedule, StepBudgetError, VectorField,
-                   flow_eval, flow_eval_exact_relu_1d, jacobian_sign_check,
-                   spot_check_lipschitz,
+                   flow_eval, jacobian_sign_check, spot_check_lipschitz,
                    schedule_from_json, schedule_to_json)
 from .families import (AffineRestriction, OutsideSign, WellFunction,
                        apply_restriction, block_field, block_well_1d,

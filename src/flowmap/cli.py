@@ -25,7 +25,7 @@ from .rates import rate_sweep, tv_log_derivative
 from .selftest import run_selftest
 from .targets import parse_target
 from .terminal import TerminalMap
-from .util import mc_lp_error
+from .util import mc_lp_error, sup_probe_points
 
 JSON_KW = {"sort_keys": True, "indent": 2}
 
@@ -78,9 +78,9 @@ def cmd_approx1d(args) -> int:
     target = parse_target(args.target, kind="1d")
     well = _well_1d(args.well)
     res = approx_increasing(target, args.eps, well)
-    grid = np.linspace(target.domain[0], target.domain[1], 4097)
-    got = flow_eval(res.schedule, grid[:, None])[:, 0]
-    err = float(np.max(np.abs(got - np.asarray(target.fn(grid)))))
+    pts = sup_probe_points(res.nodes, args.seed)
+    got = flow_eval(res.schedule, pts[:, None])[:, 0]
+    err = float(np.max(np.abs(got - np.asarray(target.fn(pts)))))
     _write_json(out / "schedule.json", schedule_to_json(res.schedule))
     _write_json(out / "report.json", {
         "target": args.target, "eps": args.eps,
@@ -173,9 +173,9 @@ def cmd_verify(args) -> int:
     report = {"dim": sched.dim, "steps": len(sched), "total_time_T": sched.total_time}
     if sched.dim == 1:
         target = parse_target(args.target, kind="1d")
-        grid = np.linspace(target.domain[0], target.domain[1], 4097)
-        got = flow_eval(sched, grid[:, None])[:, 0]
-        report["measured_sup_error"] = float(np.max(np.abs(got - np.asarray(target.fn(grid)))))
+        pts = sup_probe_points(np.linspace(*target.domain, 4097), args.seed)
+        got = flow_eval(sched, pts[:, None])[:, 0]
+        report["measured_sup_error"] = float(np.max(np.abs(got - np.asarray(target.fn(pts)))))
         report["monotone"] = bool(np.all(np.diff(got) > 0))
         probe = np.linspace(target.domain[0], target.domain[1], 9)[:, None]
     else:

@@ -25,7 +25,6 @@ __all__ = [
     "BlowupError",
     "StepBudgetError",
     "flow_eval",
-    "flow_eval_exact_relu_1d",
     "jacobian_sign_check",
     "spot_check_lipschitz",
     "JacobianRecord",
@@ -58,7 +57,9 @@ class VectorField:
     conservative; it is spot-checked by sampling, never computed symbolically.
     ``exact_flow``, when present, maps (x of shape (..., dim), tau) to the
     exact endpoint of the autonomous flow and is preferred by the default
-    integrator config.
+    integrator config.  ``pwl`` is the ``PwlField`` (terms and exact kink-to-kink
+    flow) of a scalar ReLU-built field or of a tensor field built from one; a
+    scalar ReLU field's ``exact_flow`` runs through this same object.
     """
 
     dim: int
@@ -68,7 +69,7 @@ class VectorField:
     tag: Optional[str] = None
     params: Optional[dict] = None
     exact_flow: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    pwl: Optional[object] = None  # PwlField for scalar ReLU-built fields
+    pwl: Optional[object] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -219,23 +220,6 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
             z = _rk45_step_field(f, z, tau, cfg)
         _check_state(z)
     return z
-
-
-def flow_eval_exact_relu_1d(v: float, w: float, b: float, x: float, tau: float) -> float:
-    """Closed-form flow of dz/dt = v * relu(w z + b) from x after time tau.
-
-    Total on finite inputs: the inactive side is a fixed point, the active
-    side evolves as an affine ODE toward or away from the kink.
-    """
-    if tau == 0.0 or v == 0.0:
-        return float(x)
-    if w == 0.0:
-        return float(x + tau * v * max(b, 0.0))
-    if w * x + b <= 0.0:
-        return float(x)  # relu inactive along the whole trajectory
-    kink = -b / w
-    with np.errstate(over="ignore"):
-        return float(kink + (x - kink) * np.exp(v * w * tau))
 
 
 def spot_check_lipschitz(f: VectorField, box, samples: int = 2000,

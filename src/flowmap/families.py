@@ -70,14 +70,15 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
         z = np.asarray(z, dtype=float)
         return np.maximum(z @ W.T + b, 0.0) @ V.T
 
-    exact = _relu_exact_flow(V, W, b, n)
     params = {"V": V.tolist(), "W": W.tolist(), "b": b.tolist()}
     pwl = PwlField(np.column_stack([V[0, :], W[:, 0], b])) if n == 1 else None
+    exact = _relu_exact_flow(V, W, b, pwl)
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
                        tag="relu", params=params, exact_flow=exact, pwl=pwl)
 
 
-def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, n: int):
+def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField]):
+    """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl."""
     rows = np.flatnonzero(np.any(V != 0.0, axis=1))
     cols = np.flatnonzero(np.any(W != 0.0, axis=0))
     if len(rows) == 0:
@@ -93,8 +94,8 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, n: int):
     if len(rows) == 1 and len(cols) == 1:
         i, j = int(rows[0]), int(cols[0])
         if i == j:
-            terms = np.column_stack([V[i, :], W[:, i], b])
-            pwl = PwlField(terms)
+            if pwl is None:
+                pwl = PwlField(np.column_stack([V[i, :], W[:, i], b]))
 
             def flow_auto(z, tau, pwl=pwl, i=i):
                 z = np.asarray(z, dtype=float).copy()
@@ -118,16 +119,6 @@ def field_from_terms_1d(terms, label: str = "relu1d") -> VectorField:
     """1D field sum_k v_k relu(w_k x + b_k) from a (k, 3) term list."""
     t = relu_terms_1d(terms)
     return relu_field(t[:, 0][None, :], t[:, 1][:, None], t[:, 2], label=label)
-
-
-def _terms_of(f: VectorField) -> Optional[np.ndarray]:
-    """Term list of a 1D relu-tagged field, else None."""
-    if f.dim != 1 or f.tag != "relu" or f.params is None:
-        return None
-    V = np.asarray(f.params["V"], dtype=float)
-    W = np.asarray(f.params["W"], dtype=float)
-    b = np.asarray(f.params["b"], dtype=float)
-    return np.column_stack([V[0, :], W[:, 0], b])
 
 
 def generic_field(fn, dim: int, lipschitz_bound: float, label: str = "custom") -> VectorField:
@@ -414,10 +405,9 @@ def _tensor_restricted_exact_flow(f: VectorField, r: AffineRestriction):
     shear construction, where two coordinates share the same scalar argument
     a z_j + b and their difference (or sum) is conserved.
     """
-    inner_terms = f.params.get("terms")
-    if inner_terms is None:
+    g = f.pwl
+    if g is None:
         return None
-    g = PwlField(np.asarray(inner_terms, dtype=float))
     driven = np.flatnonzero(r.D != 0.0)
     A, b = r.A, r.b
     # Self-driven single coordinate: dz_i/dt = d g(a z_i + b_i).

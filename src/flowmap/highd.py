@@ -145,23 +145,15 @@ def _staircase_profile(alpha: float, N: int, beta: float) -> LogDerivativeProfil
                                 tv=tv, tv_interior=tv_int, pieces=len(u))
 
 
-def _lift_terms_to_coord(terms: np.ndarray, coord: int, n: int):
-    """1D ReLU term list as an nD field driving a single coordinate from itself."""
-    q = len(terms)
-    V = np.zeros((n, q))
-    W = np.zeros((q, n))
-    V[coord, :] = terms[:, 0]
-    W[:, coord] = terms[:, 1]
-    return relu_field(V, W, terms[:, 2], label=f"lift[{coord}]")
-
-
 def _lift_field_to_coord(f1d, coord: int, n: int):
-    """Generic lift of a scalar field: coordinate evolves by itself, rest fixed."""
-    if f1d.tag == "relu" and f1d.params is not None:
-        V = np.asarray(f1d.params["V"], dtype=float)
-        W = np.asarray(f1d.params["W"], dtype=float)
-        b = np.asarray(f1d.params["b"], dtype=float)
-        return _lift_terms_to_coord(np.column_stack([V[0, :], W[:, 0], b]), coord, n)
+    """Lift of a scalar field: coordinate evolves by itself, rest fixed; ReLU stays ReLU."""
+    if f1d.pwl is not None:
+        terms = f1d.pwl.terms
+        V = np.zeros((n, len(terms)))
+        W = np.zeros((len(terms), n))
+        V[coord, :] = terms[:, 0]
+        W[:, coord] = terms[:, 1]
+        return relu_field(V, W, terms[:, 2], label=f"lift[{coord}]")
     inner_eval = f1d.eval
 
     def evaluate(z, inner_eval=inner_eval, coord=coord):

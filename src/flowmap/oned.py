@@ -52,11 +52,8 @@ def _place_well(well: WellFunction, upper_edge: float) -> WellFunction:
 def _step_flow(field, x: float, tau: float, cfg: IntegratorConfig) -> float:
     if tau == 0.0:
         return float(x)
-    if cfg.method == "closed_form_if_available":
-        if field.pwl is not None:
-            return field.pwl.flow_scalar(x, tau)
-        if field.exact_flow is not None:
-            return float(field.exact_flow(np.array([x]), tau)[0])
+    if cfg.method == "closed_form_if_available" and field.pwl is not None:
+        return field.pwl.flow_scalar(x, tau)
     out = flow_eval(Schedule(((field, tau),), 1), np.array([x]), cfg)
     return float(out[0])
 

@@ -155,6 +155,14 @@ def _relu_stage(sign: float, kink: float):
     return field_from_terms_1d([(float(sign), 1.0, -float(kink))], label="stage")
 
 
+def _built_image(steps, x: float) -> float:
+    """Image of x under the exact flows of the 1D ReLU stages built so far."""
+    z = x
+    for f, tau in steps:
+        z = f.pwl.flow_scalar(z, tau)
+    return z
+
+
 def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
                            slack: float = 0.01) -> Schedule:
     """Exact flow-map realization of an increasing target with pwc ln(phi').
@@ -168,22 +176,16 @@ def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
     dec = profile_to_jumps(profile)
     steps = []
 
-    def built_image(x: float) -> float:
-        z = x
-        for f, tau in steps:
-            z = f.pwl.flow_scalar(z, tau)
-        return z
-
     for c, a in dec.jumps:
         if a == 0.0:
             continue
-        kink = built_image(c)
+        kink = _built_image(steps, c)
         steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
-    b0 = built_image(0.0)
+    b0 = _built_image(steps, 0.0)
     delta = anchor - b0
     sched = Schedule(tuple(steps), 1)
     if delta != 0.0:
-        b1 = built_image(1.0)
+        b1 = _built_image(steps, 1.0)
         sched = sched.then(translation_gadget(delta, slack, lo=min(b0, 0.0), hi=max(b1, 1.0)))
     return sched
 
@@ -242,24 +244,18 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
         steps.append((field_from_terms_1d([(sgn, 1.0, 0.0)], label="scale+"), t))
         steps.append((field_from_terms_1d([(-sgn, -1.0, 0.0)], label="scale-"), t))
 
-    def built_image(x: float) -> float:
-        z = x
-        for f, tau in steps:
-            z = f.pwl.flow_scalar(z, tau)
-        return z
-
     for c, ratio in zip(bp, sl[1:] / sl[:-1]):
         a = math.log(ratio)
         if a == 0.0:
             continue
-        kink = built_image(float(c))
+        kink = _built_image(steps, float(c))
         steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
     sched = Schedule(tuple(steps), 1)
     cur = flow_eval(sched, np.array([anchor_x]))[0] if steps else anchor_x
     delta = anchor_value - float(cur)
     if delta != 0.0:
         reach = max(abs(anchor_x), np.max(np.abs(bp)) if len(bp) else 0.0) + 1.0
-        img = [built_image(v) for v in (-reach, reach)]
+        img = [_built_image(steps, v) for v in (-reach, reach)]
         # Large shifts need a proportionally larger slack, else the far kink
         # at ~2*delta/slack costs more roundoff than the shift tolerates.
         slack_used = max(slack, abs(delta) / 1e6)
@@ -297,6 +293,19 @@ def _lazy_tube_cost(values: np.ndarray, gamma: float) -> float:
     return cost + abs(pos)  # final move back to the zero extension
 
 
+def _tube_radius(values: np.ndarray, T: float, lo: float) -> float:
+    """Bisection from [lo, max|u|] for the smallest tube radius whose lazy path
+    costs at most T; returns the upper end of the final bracket."""
+    hi = float(np.max(np.abs(values))) + 1e-12
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _lazy_tube_cost(values, mid) <= T:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _lazy_tube_path(values: np.ndarray, gamma: float) -> np.ndarray:
     pos = 0.0
     out = []
@@ -322,14 +331,7 @@ def gamma_relaxed(profile: LogDerivativeProfile, T: float) -> GammaResult:
         return GammaResult(max(0.0, 0.5 * (profile.tv - T)), True, "monotone")
     if profile.is_unimodal():
         return GammaResult(max(0.0, 0.25 * (profile.tv - T)), True, "unimodal")
-    lo, hi = 0.0, float(np.max(np.abs(profile.values))) + 1e-12
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _lazy_tube_cost(profile.values, mid) <= T:
-            hi = mid
-        else:
-            lo = mid
-    return GammaResult(hi, False, "tube_bound")
+    return GammaResult(_tube_radius(profile.values, T, 0.0), False, "tube_bound")
 
 
 def budgeted_error_bound(target: Target1D, T: float,
@@ -371,14 +373,7 @@ def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> Budget
     if vtv > T + 1e-9:
         # Closed form can be infeasible for the extended convention on
         # non-monotone shapes; fall back to the tube projection.
-        lo, hi = g, float(np.max(np.abs(u))) + 1e-12
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if _lazy_tube_cost(u, mid) <= T:
-                hi = mid
-            else:
-                lo = mid
-        g = hi
+        g = _tube_radius(u, T, g)
         v = _lazy_tube_path(u, g)
         vtv = _extended_tv(v)
     qprofile = LogDerivativeProfile(kind="pwc", breakpoints=profile.breakpoints,

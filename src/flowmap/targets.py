@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.spatial import cKDTree
 
 __all__ = [
     "Target1D",
@@ -226,12 +227,10 @@ def target_nd_from_csv(path, n: int) -> TargetSpec:
     X, Y = data[:, :n], data[:, n:]
     m = Y.shape[1]
 
-    def lookup(x, X=X, Y=Y):
+    def lookup(x, tree=cKDTree(X), Y=Y):
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        d2 = ((flat[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        out = Y[np.argmin(d2, axis=1)]
-        return out.reshape(x.shape[:-1] + (Y.shape[1],))
+        _, nearest = tree.query(x.reshape(-1, x.shape[-1]))
+        return Y[nearest].reshape(x.shape[:-1] + (Y.shape[1],))
 
     lo = X.min(axis=0)
     hi = X.max(axis=0)

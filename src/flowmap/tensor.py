@@ -58,7 +58,6 @@ def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
         params["terms"] = g.pwl.terms.tolist()
 
         def exact(z, tau, pwl=g.pwl):
-            z = np.asarray(z, dtype=float)
             return pwl.flow(z, tau)
 
     tag = "tensor" if g.tag is not None else None

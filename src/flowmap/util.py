@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["MeasureResult", "mc_lp_error", "worker_count", "collision_counts",
-           "rank_spread"]
+           "rank_spread", "sup_probe_points"]
 
 
 def collision_counts(points) -> list:
@@ -34,6 +34,20 @@ def rank_spread(values, delta: float) -> np.ndarray:
     out = values.copy()
     out[order] += delta * np.arange(len(values))
     return out
+
+
+def sup_probe_points(nodes, seed: int) -> np.ndarray:
+    """Sorted probe points for a 1D sup-error check over sorted nodes.
+
+    The nodes, their midpoints and 4096 uniform points seeded from seed: the
+    nodes alone show only the node-matching error.  Pass a construction's own
+    partition nodes where it has them; with a plain grid instead, a partition
+    finer than the grid's midpoints is seen between its nodes only by the
+    seeded points.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    extra = np.random.default_rng(seed).uniform(nodes[0], nodes[-1], 4096)
+    return np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), extra]))
 
 
 @dataclass(frozen=True)

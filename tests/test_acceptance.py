@@ -2,7 +2,8 @@
 
 Each test runs one criterion from the selftest suite and prints its pass/fail
 line; the final test checks that two identically-seeded selftest runs write
-byte-identical reports.
+byte-identical reports (the pair of runs is shared with test_cli.py through
+the ``selftest_runs`` fixture).
 """
 
 import json
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from flowmap.selftest import CRITERIA, run_selftest
+from flowmap.selftest import CRITERIA
 
 TIME_BUDGETS = {
     "1_exact_relu_flow": 1.0,
@@ -37,11 +38,6 @@ def test_criterion(name, fn):
         assert elapsed <= TIME_BUDGETS[name], f"{name} took {elapsed:.1f}s"
 
 
-def test_selftest_reports_byte_identical(tmp_path, capsys):
-    reports = []
-    for run in ("a", "b"):
-        report, _ = run_selftest(seed=0, verbose=False)
-        blob = json.dumps(report, sort_keys=True, indent=2)
-        (tmp_path / f"report_{run}.json").write_text(blob)
-        reports.append(blob.encode("utf-8"))
+def test_selftest_reports_byte_identical(selftest_runs):
+    reports = [blob for _, blob in selftest_runs]
     assert reports[0] == reports[1]

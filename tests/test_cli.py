@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowmap.cli import main
+from flowmap.core import flow_eval, schedule_from_json
+from flowmap.targets import builtin_target_1d
 
 
 def read_json(path):
@@ -19,7 +22,11 @@ def test_approx1d_artifacts(tmp_path):
     assert rc == 0
     rep = read_json(out / "report.json")
     assert rep["measured_sup_error"] <= 1e-1
-    assert (out / "schedule.json").exists()
+    # The reported error covers the midpoints of the construction's own nodes.
+    nodes = np.linspace(0.0, 1.0, rep["nodes"])
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    got = flow_eval(schedule_from_json(read_json(out / "schedule.json")), mids[:, None])[:, 0]
+    assert rep["measured_sup_error"] >= np.max(np.abs(got - builtin_target_1d("smooth1").fn(mids)))
     assert (out / "config.json").exists()
     assert "wall_time" in read_json(out / "timing.json")
     assert "wall_time" not in rep
@@ -75,6 +82,25 @@ def test_discretize_artifacts(tmp_path):
     assert len(read_json(out / "resnet.json")["layers"]) == 4096
 
 
+def test_verify_1d_sees_error_between_nodes(tmp_path):
+    # Target equal to x on the 4096-piece node set and to x + delta halfway
+    # between nodes: a probe grid made of the nodes alone reports about 0.
+    delta = 1e-4
+    xs = np.arange(8193) / 8192.0
+    ys = xs + delta * (np.arange(8193) % 2)
+    csv_path = tmp_path / "bump.csv"
+    csv_path.write_text("x,y\n" + "\n".join(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys)))
+    sched_path = tmp_path / "identity.json"
+    sched_path.write_text(json.dumps({"dim": 1, "steps": []}))
+    out = tmp_path / "v"
+    rc = main(["verify", "--schedule", str(sched_path), "--target", f"csv:{csv_path}",
+               "--out", str(out)])
+    assert rc == 0
+    rep = read_json(out / "report.json")
+    assert rep["measured_sup_error"] >= delta / 2
+    assert rep["monotone"]
+
+
 def test_error_json_on_bad_input(tmp_path, capsys):
     rc = main(["approx1d", "--target", "builtin:dec1", "--eps", "0.1",
                "--out", str(tmp_path / "bad")])
@@ -95,11 +121,6 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert read_json(out2 / "report.json")["eps"] == 0.2
 
 
-def test_selftest_reports_deterministic(tmp_path):
-    blobs = []
-    for sub in ("s1", "s2"):
-        out = tmp_path / sub
-        rc = main(["selftest", "--seed", "0", "--out", str(out)])
-        assert rc == 0
-        blobs.append((out / "report.json").read_bytes())
-    assert blobs[0] == blobs[1]
+def test_selftest_reports_deterministic(selftest_runs):
+    assert [rc for rc, _ in selftest_runs] == [0, 0]
+    assert selftest_runs[0][1] == selftest_runs[1][1]

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmap.core import (BlowupError, IntegratorConfig, Schedule,
-                          StepBudgetError, flow_eval, flow_eval_exact_relu_1d,
-                          jacobian_sign_check, schedule_from_json, schedule_to_json)
-from flowmap.families import (field_from_terms_1d, generic_field, negated_field,
+                          StepBudgetError, flow_eval, jacobian_sign_check,
+                          schedule_from_json, schedule_to_json)
+from flowmap.families import (AffineRestriction, apply_restriction,
+                              field_from_terms_1d, generic_field, negated_field,
                               relu_well_1d)
+from helpers import RK12, term_lists
 
-RK12 = IntegratorConfig(method="rk45_adaptive", tol=1e-12)
+
+def relu_flow(v, w, b, x, tau):
+    """Exact flow of dz/dt = v relu(w z + b) from x, through the field's own kernel."""
+    return float(field_from_terms_1d([(v, w, b)]).exact_flow(np.array([x]), tau)[0])
 
 
 class TestFlowEval:
@@ -71,21 +76,21 @@ class TestFlowEval:
 
 class TestExactReluFlow:
     def test_drive_to_target(self):
-        assert flow_eval_exact_relu_1d(-1.0, 1.0, 0.0, 2.0, math.log(2.0)) == pytest.approx(1.0, abs=1e-14)
+        assert relu_flow(-1.0, 1.0, 0.0, 2.0, math.log(2.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_inactive_side_is_fixed(self):
-        assert flow_eval_exact_relu_1d(3.7, 1.0, -5.0, 1.0, 7.0) == 1.0
+        assert relu_flow(3.7, 1.0, -5.0, 1.0, 7.0) == 1.0
 
     def test_growth_matches_rk45(self):
-        val = flow_eval_exact_relu_1d(1.0, 1.0, 0.0, 1.0, 1.0)
+        val = relu_flow(1.0, 1.0, 0.0, 1.0, 1.0)
         f = field_from_terms_1d([(1.0, 1.0, 0.0)])
         oracle = flow_eval(Schedule(((f, 1.0),), 1), np.array([1.0]), RK12)[0]
         assert val == pytest.approx(math.e, abs=1e-12)
         assert val == pytest.approx(oracle, abs=1e-9)
 
     def test_w_zero_constant_drift(self):
-        assert flow_eval_exact_relu_1d(2.0, 0.0, 3.0, 1.0, 0.5) == pytest.approx(4.0)
-        assert flow_eval_exact_relu_1d(2.0, 0.0, -3.0, 1.0, 0.5) == 1.0
+        assert relu_flow(2.0, 0.0, 3.0, 1.0, 0.5) == pytest.approx(4.0)
+        assert relu_flow(2.0, 0.0, -3.0, 1.0, 0.5) == 1.0
 
 
 class TestJacobianSign:
@@ -164,6 +169,16 @@ class TestInvariants:
                       - flow_eval(Schedule(((g, t),), 1), x)[0])
             assert gap <= t * eps2 * math.exp(t * abs(a)) * (1 + 1e-9)
 
+    @given(term_lists, st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_negated_flow_is_exact_inverse(self, terms, tau, x):
+        f = field_from_terms_1d(terms)
+        there = flow_eval(Schedule(((f, tau),), 1), np.array([x]))
+        back = flow_eval(Schedule(((negated_field(f), tau),), 1), there)
+        # Roundoff near an equilibrium grows by at most exp(Lip * tau) on the way back.
+        tol = 1e-12 * (1.0 + abs(x) + abs(there[0])) * math.exp(f.lipschitz_bound * tau)
+        assert abs(back[0] - x) <= tol
+
     def test_uniform_time_modulus(self):
         # sup_x |z(t1; x) - z(t2; x)| <= M |t1 - t2| with M = max |f| reached.
         f = field_from_terms_1d([(0.5, 1.0, 0.0), (-0.5, -1.0, 0.0)])
@@ -189,18 +204,33 @@ class TestLipschitzSpotCheck:
             assert report["max_ratio"] <= report["declared_bound"] + 1e-9
 
 
+def assert_round_trip_bit_faithful(sched):
+    doc = json.loads(json.dumps(schedule_to_json(sched)))
+    back = schedule_from_json(doc)
+    xs = np.linspace(-2, 2, 33)[:, None]
+    for (f1, t1), (f2, t2) in zip(sched.steps, back.steps):
+        assert t1 == t2
+        assert f1.params == f2.params
+        np.testing.assert_array_equal(f1.exact_flow(xs, t1), f2.exact_flow(xs, t2))
+    np.testing.assert_array_equal(flow_eval(sched, xs), flow_eval(back, xs))
+
+
 class TestScheduleSerialization:
     def test_round_trip_bit_faithful(self):
         w = relu_well_1d(-1.0, 0.37)
-        sched = Schedule(((w.field, 0.123456789123456789),
-                          (negated_field(w.field), math.pi)), 1)
-        doc = json.loads(json.dumps(schedule_to_json(sched)))
-        back = schedule_from_json(doc)
-        for (f1, t1), (f2, t2) in zip(sched.steps, back.steps):
-            assert t1 == t2
-            assert f1.params == f2.params
-        xs = np.linspace(-2, 2, 33)[:, None]
-        np.testing.assert_array_equal(flow_eval(sched, xs), flow_eval(back, xs))
+        assert_round_trip_bit_faithful(Schedule(((w.field, 0.123456789123456789),
+                                                 (negated_field(w.field), math.pi)), 1))
+
+    @given(term_lists, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.05, 2.0),
+           st.lists(st.floats(0.0, 0.5), min_size=5, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_random_fields(self, terms, shift, q1, width, taus):
+        f = field_from_terms_1d(terms)
+        well = relu_well_1d(q1, q1 + width).translated(shift)
+        fields = (f, negated_field(f),
+                  apply_restriction(f, AffineRestriction.translation(1, shift)),
+                  well.field, well.flipped().field)
+        assert_round_trip_bit_faithful(Schedule(tuple(zip(fields, taus)), 1))
 
     def test_unserializable_field_raises(self):
         f = generic_field(lambda z: z, 1, 1.0, "anon")

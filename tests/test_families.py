@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmap import families as fam
+from flowmap.core import Schedule, flow_eval
 from flowmap.families import AffineRestriction, apply_restriction, certify_well
+from helpers import RK12, entries, term_lists
 
 
 class TestReluField:
@@ -182,6 +184,38 @@ class TestApplyRestriction:
         g2 = apply_restriction(w.field, r1.compose_inside(r2))
         xs = np.linspace(-3, 3, 41)[:, None]
         np.testing.assert_allclose(g1.eval(xs), g2.eval(xs), atol=1e-12)
+
+    @given(term_lists, st.sampled_from([-1.0, 0.0, 1.0]), entries, st.floats(-1.0, 1.0),
+           st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_relu_restriction_1d_matches_algebra_and_rk45(self, terms, d, a, beta, x, tau):
+        f = fam.field_from_terms_1d(terms)
+        r = AffineRestriction(np.array([d]), np.array([[a]]), np.array([beta]))
+        self._check_restricted(f, r, np.array([x]), tau)
+
+    @given(st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1.0, 1.0]), entries,
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_relu_restriction_nd_matches_algebra_and_rk45(self, i, j, s, a, b0, x0, x1, tau):
+        # One driven coordinate read from itself (i == j) or from a frozen one.
+        D = np.zeros(2)
+        D[i] = s
+        A = np.zeros((2, 2))
+        A[j, j] = a
+        r = AffineRestriction(D, A, np.array([b0, -b0]))
+        self._check_restricted(fam.relu_well_nd(2).field, r, np.array([x0, x1]), tau)
+
+    @staticmethod
+    def _check_restricted(f, r, z, tau):
+        g = apply_restriction(f, r)
+        zs = z + np.linspace(-1.0, 1.0, 9)[:, None]
+        np.testing.assert_allclose(g.eval(zs), r.D * f.eval(zs @ r.A.T + r.b),
+                                   rtol=1e-12, atol=1e-12)
+        assert g.exact_flow is not None
+        exact = g.exact_flow(z, tau)
+        oracle = flow_eval(Schedule(((g, tau),), f.dim), z, RK12)
+        np.testing.assert_allclose(exact, oracle, rtol=5e-9, atol=5e-9)
 
     def test_lipschitz_update(self):
         w = fam.relu_well_nd(2)

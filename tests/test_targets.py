@@ -1,5 +1,7 @@
 """Target abstractions: builtins, piecewise-linear data, CSV loading."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,37 @@ def test_csv_nd_lookup(tmp_path):
     assert t.m == 2
     np.testing.assert_array_equal(t.fn(np.array([0.1, -0.1])), [1.0, 2.0])
     np.testing.assert_array_equal(t.fn(np.array([0.9, 0.1])), [3.0, 4.0])
+
+
+def _write_table(path, X, Y):
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                              for row in np.hstack([X, Y])))
+
+
+def test_csv_nd_lookup_matches_brute_force_argmin(tmp_path):
+    rng = np.random.default_rng(5)
+    X, Y = rng.uniform(0.0, 1.0, (300, 3)), rng.normal(size=(300, 2))
+    path = tmp_path / "r.csv"
+    _write_table(path, X, Y)
+    q = rng.uniform(-0.1, 1.1, (40, 25, 3))
+    d2 = ((q.reshape(-1, 1, 3) - X[None, :, :]) ** 2).sum(axis=2)
+    expect = Y[np.argmin(d2, axis=1)].reshape(40, 25, 2)
+    np.testing.assert_array_equal(target_nd_from_csv(path, n=3).fn(q), expect)
+
+
+def test_csv_nd_lookup_memory_is_not_samples_times_rows(tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "big.csv"
+    _write_table(path, rng.uniform(0.0, 1.0, (2000, 2)), rng.normal(size=(2000, 2)))
+    t = target_nd_from_csv(path, n=2)
+    pts = rng.uniform(0.0, 1.0, (5000, 2))
+    tracemalloc.start()
+    try:
+        t.fn(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_parse_target():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowmap.util import collision_counts, mc_lp_error, rank_spread
+from flowmap.util import collision_counts, mc_lp_error, rank_spread, sup_probe_points
 
 BOX = [[0.0, 1.0], [0.0, 1.0]]
 
@@ -45,3 +45,17 @@ def test_mc_independent_of_worker_count(monkeypatch):
 def test_mc_zero_distance():
     res = mc_lp_error(lambda x: x, lambda x: x, BOX, 1.0, 1_000, seed=0)
     assert res.value == 0.0 and res.stderr == 0.0
+
+
+def test_sup_probe_points_cover_midpoints_and_are_seeded():
+    nodes = np.linspace(0.0, 1.0, 4097)
+    pts = sup_probe_points(nodes, seed=3)
+    assert len(pts) == 4097 + 4096 + 4096
+    assert np.all(np.diff(pts) >= 0.0)
+    assert pts[0] >= 0.0 and pts[-1] <= 1.0
+    assert np.isin(np.arange(1, 8192, 2) / 8192.0, pts).all()
+    np.testing.assert_array_equal(pts, sup_probe_points(nodes, seed=3))
+    assert not np.array_equal(pts, sup_probe_points(nodes, seed=4))
+    # Uneven nodes: every node and every midpoint between neighbours is probed.
+    uneven = sup_probe_points([0.0, 0.25, 0.375, 1.0, 2.5], seed=0)
+    assert np.isin([0.0, 0.125, 0.25, 0.3125, 0.375, 0.6875, 1.0, 1.75, 2.5], uneven).all()
