@@ -3,15 +3,16 @@
 A Schedule is a finite list of (field, duration) pairs; its flow map is the
 composition of the autonomous flows of the individual fields, applied in list
 order.  Evaluation prefers exact closed forms where a field carries one
-(ReLU-built scalar fields and their coordinate liftings do) and otherwise
-falls back to adaptive RK45 or fixed-step RK4.
+(ReLU-built fields that read one coordinate do, and so do tensor fields of
+scalar fields that do) and otherwise falls back to adaptive RK45 or
+fixed-step RK4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,7 +59,7 @@ class VectorField:
     ``exact_flow``, when present, maps (x of shape (..., dim), tau) to the
     exact endpoint of the autonomous flow and is preferred by the default
     integrator config.  ``pwl`` is the ``PwlField`` (terms and exact kink-to-kink
-    flow) of a scalar ReLU-built field or of a tensor field built from one; a
+    flow) of a scalar ReLU-built field, and None for every other field; a
     scalar ReLU field's ``exact_flow`` runs through this same object.
     """
 
@@ -106,23 +107,6 @@ class Schedule:
         if other.dim != self.dim:
             raise ValueError("dim mismatch")
         return Schedule(self.steps + other.steps, self.dim)
-
-    def reversed_inverse(self) -> "Schedule":
-        """Exact inverse flow: reversed step order with negated fields."""
-        from .families import negated_field  # local import to avoid a cycle
-
-        steps = tuple((negated_field(f), t) for f, t in reversed(self.steps))
-        return Schedule(steps, self.dim)
-
-
-def schedule(steps: Sequence, dim: Optional[int] = None) -> Schedule:
-    """Build a Schedule, inferring dim from the first field if not given."""
-    steps = tuple(steps)
-    if dim is None:
-        if not steps:
-            raise ValueError("dim required for an empty schedule")
-        dim = steps[0][0].dim
-    return Schedule(steps, dim)
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,10 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
 def relu_field(V, W, b, label: str = "relu") -> VectorField:
     """Field z -> V relu(W z + b) with V (n, q), W (q, n), b (q,).
 
-    Lipschitz bound is the operator-norm product |V| |W|.  Fields whose
-    sparsity pattern drives a single coordinate from a single coordinate get
-    an exact closed-form flow attached.
+    Lipschitz bound is the operator-norm product |V| |W|.  Fields that read a
+    single coordinate get an exact closed-form flow attached when they drive
+    one other coordinate, or that coordinate itself and rows proportional to
+    it (see ``_relu_exact_flow``).
     """
     V = _as_matrix(V, name="V")
     n, q = V.shape
@@ -78,7 +79,12 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
 
 
 def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField]):
-    """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl."""
+    """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl.
+
+    When a single coordinate j is read and drives itself, z_j flows by the
+    scalar kernel; every other driven row must then be an exact multiple c_r
+    of row j, and moves by c_r times z_j's change (the co-moving shear stage).
+    """
     rows = np.flatnonzero(np.any(V != 0.0, axis=1))
     cols = np.flatnonzero(np.any(W != 0.0, axis=0))
     if len(rows) == 0:
@@ -91,18 +97,20 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[
             return np.asarray(z, dtype=float) + tau * drift
 
         return flow_const
-    if len(rows) == 1 and len(cols) == 1:
-        i, j = int(rows[0]), int(cols[0])
-        if i == j:
-            if pwl is None:
-                pwl = PwlField(np.column_stack([V[i, :], W[:, i], b]))
-
-            def flow_auto(z, tau, pwl=pwl, i=i):
-                z = np.asarray(z, dtype=float).copy()
-                z[..., i] = pwl.flow(z[..., i], tau)
-                return z
-
-            return flow_auto
+    if len(cols) != 1:
+        return None
+    j = int(cols[0])
+    others, c = None, None
+    if len(rows) > 1:
+        others = rows[rows != j]
+        if len(others) == len(rows):  # several rows driven from an undriven j
+            return None
+        k = int(np.flatnonzero(V[j, :])[0])
+        c = V[others, k] / V[j, k]
+        if not np.array_equal(c[:, None] * V[j, :], V[others, :]):
+            return None
+    elif int(rows[0]) != j:
+        i = int(rows[0])
 
         def flow_frozen(z, tau, V=V, W=W, b=b, i=i):
             # Driving coordinate i from frozen coordinate j: velocity constant.
@@ -112,7 +120,19 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[
             return z
 
         return flow_frozen
-    return None
+    if pwl is None:
+        pwl = PwlField(np.column_stack([V[j, :], W[:, j], b]))
+
+    def flow_self(z, tau, pwl=pwl, j=j, others=others, c=c):
+        z = np.asarray(z, dtype=float).copy()
+        old = z[..., j]
+        new = pwl.flow(old, tau)
+        if c is not None:
+            z[..., others] += (new - old)[..., None] * c
+        z[..., j] = new
+        return z
+
+    return flow_self
 
 
 def field_from_terms_1d(terms, label: str = "relu1d") -> VectorField:
@@ -156,10 +176,6 @@ def sigmoid_smn(M: int, N: int, z):
     acc = sigmoid(M * (-q - z[..., None])) + sigmoid(M * (z[..., None] - q))
     out = acc.sum(axis=-1) / (2.0 * N)
     return out if out.ndim else float(out)
-
-
-def smn_bound(M: int, N: int) -> float:
-    return 1.0 / N + 1.0 / (1.0 + math.exp(M / N))
 
 
 def soft_threshold_well_1d() -> "WellFunction":
@@ -393,66 +409,6 @@ def _restricted_exact_flow(f: VectorField, r: AffineRestriction):
             return z + tau * vel
 
         return flow_frozen
-    if f.tag == "tensor" and f.params is not None:
-        return _tensor_restricted_exact_flow(f, r)
-    return None
-
-
-def _tensor_restricted_exact_flow(f: VectorField, r: AffineRestriction):
-    """Exact flows for restricted tensor fields (g per coordinate).
-
-    Handles the self-driven diagonal case and the co-moving pair used by the
-    shear construction, where two coordinates share the same scalar argument
-    a z_j + b and their difference (or sum) is conserved.
-    """
-    g = f.pwl
-    if g is None:
-        return None
-    driven = np.flatnonzero(r.D != 0.0)
-    A, b = r.A, r.b
-    # Self-driven single coordinate: dz_i/dt = d g(a z_i + b_i).
-    if len(driven) == 1:
-        i = int(driven[0])
-        row_cols = np.flatnonzero(A[i, :] != 0.0)
-        if len(row_cols) == 1 and int(row_cols[0]) == i and \
-                all(len(np.flatnonzero(A[k, :])) == 0 for k in range(f.dim) if k != i):
-            a = float(A[i, i])
-            scaled = g.precomposed_affine(a, float(b[i])).scaled(float(r.D[i]))
-            if a == 0.0:
-                return None  # constant argument handled by the frozen case
-
-            def flow_diag(z, tau, scaled=scaled, i=i):
-                z = np.asarray(z, dtype=float).copy()
-                z[..., i] = scaled.flow(z[..., i], tau)
-                return z
-
-            return flow_diag
-    # Co-moving pair: rows i and j of A both read coordinate j with weight a.
-    if len(driven) == 2:
-        p, q = int(driven[0]), int(driven[1])
-        for i, j in ((p, q), (q, p)):
-            ok = (A[i, j] != 0.0 and A[j, j] == A[i, j] and b[i] == b[j]
-                  and len(np.flatnonzero(A[i, :])) == 1
-                  and len(np.flatnonzero(A[j, :])) == 1
-                  and all(len(np.flatnonzero(A[k, :])) == 0
-                          for k in range(f.dim) if k not in (i, j)))
-            if ok:
-                a = float(A[j, j])
-                dj, di = float(r.D[j]), float(r.D[i])
-                # u = a z_j + b evolves autonomously; z_i tracks z_j exactly.
-                u_field = g.scaled(a * dj)
-
-                def flow_pair(z, tau, u_field=u_field, a=a, b0=float(b[j]),
-                              di=di, dj=dj, i=i, j=j):
-                    z = np.asarray(z, dtype=float).copy()
-                    u0 = a * z[..., j] + b0
-                    u1 = u_field.flow(u0, tau)
-                    dzj = (u1 - u0) / a
-                    z[..., i] = z[..., i] + di * dj * dzj
-                    z[..., j] = z[..., j] + dzj
-                    return z
-
-                return flow_pair
     return None
 
 

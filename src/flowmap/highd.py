@@ -16,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Schedule, VectorField, flow_eval
+from .core import Schedule, flow_eval
 from .families import AffineRestriction, WellFunction, apply_restriction, relu_field
 from .oned import approx_increasing
 from .rates import LogDerivativeProfile, compile_heaviside_flow
 from .targets import TargetSpec
+from .tensor import tensor_field, tensor_transport
 from .util import collision_counts, mc_lp_error, rank_spread
 
 __all__ = [
@@ -145,38 +146,12 @@ def _staircase_profile(alpha: float, N: int, beta: float) -> LogDerivativeProfil
                                 tv=tv, tv_interior=tv_int, pieces=len(u))
 
 
-def _lift_field_to_coord(f1d, coord: int, n: int):
-    """Lift of a scalar field: coordinate evolves by itself, rest fixed; ReLU stays ReLU."""
-    if f1d.pwl is not None:
-        terms = f1d.pwl.terms
-        V = np.zeros((n, len(terms)))
-        W = np.zeros((len(terms), n))
-        V[coord, :] = terms[:, 0]
-        W[:, coord] = terms[:, 1]
-        return relu_field(V, W, terms[:, 2], label=f"lift[{coord}]")
-    inner_eval = f1d.eval
-
-    def evaluate(z, inner_eval=inner_eval, coord=coord):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        out[..., coord] = inner_eval(z[..., coord:coord + 1])[..., 0]
-        return out
-
-    exact = None
-    if f1d.exact_flow is not None:
-        def exact(z, tau, inner=f1d.exact_flow, coord=coord):
-            z = np.asarray(z, dtype=float).copy()
-            z[..., coord] = inner(z[..., coord:coord + 1], tau)[..., 0]
-            return z
-
-    return VectorField(dim=n, eval=evaluate, lipschitz_bound=f1d.lipschitz_bound,
-                       label=f"{f1d.label}|lift[{coord}]", exact_flow=exact)
-
-
 def build_contraction(spec: ShrinkSpec, well: WellFunction, n: Optional[int] = None) -> Schedule:
-    """Flow-map approximation of the coordinatewise shrink map.
+    """Flow-map approximation of the coordinatewise shrink map h x ... x h.
 
-    ReLU-built wells use the exact route: the flats are given a tiny positive
+    Each 1D stage becomes one tensor step, which applies it to every
+    coordinate at once (flows on different coordinates commute).  ReLU-built
+    wells use the exact route: the flats are given a tiny positive
     slope beta = eps1 N / alpha and the resulting strictly increasing staircase
     is compiled exactly from its slope profile, so the sup gap to the ideal
     shrink map is exactly alpha beta / N per coordinate.  Other families fall
@@ -196,11 +171,7 @@ def build_contraction(spec: ShrinkSpec, well: WellFunction, n: Optional[int] = N
         h = shrink_map_1d(spec.alpha, spec.N)
         res = approx_increasing(h, eps_coord, well_1d, domain=(0.0, 1.0))
         steps_1d = res.schedule.steps
-    steps = []
-    for coord in range(n):
-        for f, tau in steps_1d:
-            steps.append((_lift_field_to_coord(f, coord, n), tau))
-    return Schedule(tuple(steps), n)
+    return Schedule(tuple((tensor_field(f, n), tau) for f, tau in steps_1d), n)
 
 
 # -- point separation ---------------------------------------------------------
@@ -312,8 +283,7 @@ def _clipped_drive(well: WellFunction, drive: int, read: int, sign: float,
     return relu_field(V, W, b, label=f"clip_drive[{drive}<{read}]")
 
 
-def transport_points(xs, ys, well: WellFunction, eps: float, seed: int = 0,
-                     return_trace: bool = False):
+def transport_points(xs, ys, well: WellFunction, eps: float, return_trace: bool = False):
     """Carry coordinate-distinct sources onto targets, one coordinate at a time.
 
     Coordinate i is steered by coordinate j = (i mod n) + 1 in m stages keyed
@@ -497,14 +467,12 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
     # 3. Transport map psi = transport o separate.
     rigidity = math.inf
     if transport_backend == "tensor":
-        from .tensor import tensor_transport
-        psi = tensor_transport(grid.corners, targets, eps=eps1, seed=seed)
+        psi = tensor_transport(grid.corners, targets, eps=eps1)
         sep_steps = 0
     else:
         sep = separate_points(grid.corners, well, eps=1.0 / (4.0 * N))
         moved = flow_eval(sep, grid.corners)
-        tr, tr_trace = transport_points(moved, targets, well, eps=eps1, seed=seed,
-                                        return_trace=True)
+        tr, tr_trace = transport_points(moved, targets, well, eps=eps1, return_trace=True)
         rigidity = min((rec["rigidity"] for rec in tr_trace if "rigidity" in rec),
                        default=math.inf)
         psi = sep.then(tr)

@@ -62,7 +62,7 @@ TIME_CAP = 1e4
 
 
 def _bisect_time(advance, start: float, target: float, direction: int,
-                 tol_z: float, cfg: IntegratorConfig, time_cap: float = TIME_CAP):
+                 tol_z: float, time_cap: float = TIME_CAP):
     """Smallest tau with advance(tau) past target; advance monotone in tau.
 
     direction is the sign of (target - start).  Returns (tau, endpoint).
@@ -135,7 +135,7 @@ def transport_time(well: WellFunction, from_x: float, to_x: float,
     def advance(tau):
         return _step_flow(field, from_x, tau, cfg)
 
-    tau, z = _bisect_time(advance, from_x, to_x, direction, root_tol, cfg)
+    tau, z = _bisect_time(advance, from_x, to_x, direction, root_tol)
     if abs(z - to_x) > max(root_tol, 1e-9 * max(1.0, abs(to_x))):
         raise TransportError(f"bisection stalled at |z - target| = {abs(z - to_x):.3g}")
     return sign, tau
@@ -230,8 +230,9 @@ def match_points_result(p: PointMatchProblem,
         e_drive = active_min - margin
         drive_well = _place_well(well0, e_drive)
         squeeze_well = _place_well(well0, e_drive - 0.5 * width)
-        sq_field = squeeze_well.field if s_out < 0 else negated_field(squeeze_well.field)
-        unsq_field = negated_field(sq_field)
+        flipped = negated_field(squeeze_well.field)
+        sq_field, unsq_field = ((squeeze_well.field, flipped) if s_out < 0
+                                else (flipped, squeeze_well.field))
 
         # Squeeze long enough that every matched point drops below the drive
         # well's zero interval edge, but short enough that the moving point
@@ -239,9 +240,9 @@ def match_points_result(p: PointMatchProblem,
         p_max = float(pos[:k].max())
         movers_min = min(cur, target)
         t1, _ = _bisect_time(lambda t: _step_flow(sq_field, p_max, t, cfg),
-                             p_max, e_drive, -1, 0.0, cfg)
+                             p_max, e_drive, -1, 0.0)
         t2, _ = _bisect_time(lambda t: _step_flow(sq_field, movers_min, t, cfg),
-                             movers_min, e_drive, -1, 0.0, cfg)
+                             movers_min, e_drive, -1, 0.0)
         t_sq = 0.5 * (t1 + t2)
         if not (_step_flow(sq_field, p_max, t_sq, cfg) < e_drive
                 and _step_flow(sq_field, movers_min, t_sq, cfg) > e_drive):
@@ -256,7 +257,7 @@ def match_points_result(p: PointMatchProblem,
             z = _step_flow(drv_field, sq_cur, tau, cfg)
             return _step_flow(unsq_field, z, t_sq, cfg)
 
-        tau, z_end = _bisect_time(final_position, cur, target, direction, stage_tol, cfg)
+        tau, z_end = _bisect_time(final_position, cur, target, direction, stage_tol)
         if abs(z_end - target) > stage_tol:
             raise TransportError(f"stage {k}: bisection reached |err|={abs(z_end - target):.3g} "
                                  f"> stage tolerance {stage_tol:.3g}")

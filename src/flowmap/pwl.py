@@ -89,10 +89,6 @@ class PwlField:
         """Exact Lipschitz constant: max absolute slope over pieces."""
         return float(np.max(np.abs(self._slope))) if len(self._slope) else 0.0
 
-    @property
-    def max_kink_scale(self) -> float:
-        return float(np.max(np.abs(self._kinks))) if len(self._kinks) else 0.0
-
     # -- algebra on term lists -------------------------------------------
 
     def scaled(self, c: float) -> "PwlField":

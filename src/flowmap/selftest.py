@@ -204,7 +204,7 @@ def criterion_9_separation_transport(seed: int = 0, instances: int = 200) -> dic
         xs = np.stack([rng.permutation(m) * 0.13 + rng.uniform(0, 0.05, m)
                        for _ in range(n)], axis=1)
         ys = rng.uniform(-0.5, 1.5, size=(m, n))
-        sched = transport_points(xs, ys, well, eps=1e-4, seed=seed)
+        sched = transport_points(xs, ys, well, eps=1e-4)
         pts = xs.copy()
         for fld, tau in sched.steps:
             nxt = fld.exact_flow(pts, tau)
@@ -265,7 +265,7 @@ def criterion_11_tensor_shear(seed: int = 0) -> dict:
             z = z2
     xs = np.array([[0.1, 0.2], [0.4, 0.5], [0.8, 0.9]])
     ys = np.array([[0.3, 0.7], [0.2, 0.1], [0.9, 0.4]])
-    sched = tensor_transport(xs, ys, eps=1e-3, seed=seed)
+    sched = tensor_transport(xs, ys, eps=1e-3)
     err = float(np.max(np.abs(flow_eval(sched, xs) - ys)))
     return {"conserved_drift": drift, "transport_error": err,
             "passed": bool(drift <= 1e-9 and err <= 1e-3)}

@@ -1,12 +1,14 @@
 """Tensor-product control families and shear-based point operations.
 
-A tensor field applies one scalar field to every coordinate.  Widening the
-affine closure to arbitrary matrices A makes two coordinates readable from
-the same scalar argument, so their difference is conserved along the flow:
-composing such a co-moving stage with the exact inverse on the controlling
-coordinate realizes the shear x_i <- x_i + g(x_j).  Point separation and
-transport then reduce to interpolating the needed per-point corrections by a
-difference of two increasing piecewise-linear maps, each compiled exactly.
+A tensor field applies one scalar field to every coordinate; flows on
+different coordinates commute, so its exact flow is the scalar flow applied
+to each coordinate.  A shear stage is a ReLU field that reads one coordinate
+z_j and drives z_j together with a second coordinate z_i by the same scalar
+g(z_j), so z_i - z_j (or z_i + z_j) is conserved along the flow: composing
+such a co-moving stage with the exact inverse on the controlling coordinate
+realizes the shear x_i <- x_i + g(x_j).  Point separation and transport then
+reduce to interpolating the needed per-point corrections by a difference of
+two increasing piecewise-linear maps, each compiled exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Schedule, VectorField, field_from_json, register_family
-from .families import AffineRestriction, apply_restriction
+from .families import field_from_terms_1d, relu_field
 from .rates import compile_pwl_map
 from .util import collision_counts, rank_spread
 
@@ -43,27 +45,32 @@ def _loose_collisions(pts: np.ndarray, tol: float = NOISE_FLOOR) -> list:
 
 
 def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
-    """Coordinatewise field (g(x_1), ..., g(x_n)) from a scalar field g."""
+    """Coordinatewise field (g(x_1), ..., g(x_n)) from a scalar field g.
+
+    The exact flow, when g has one, is g's exact flow applied to one
+    coordinate at a time.
+    """
     if g.dim != 1:
         raise ValueError("tensor_field needs a 1D inner field")
     inner_eval = g.eval
 
     def evaluate(z, inner_eval=inner_eval):
         z = np.asarray(z, dtype=float)
-        return inner_eval(z[..., None])[..., 0]
+        return inner_eval(z.reshape(-1, 1)).reshape(z.shape)
 
     params = {"n": n, "inner": {"family_tag": g.tag, "params": g.params}}
     exact = None
-    if g.pwl is not None:
-        params["terms"] = g.pwl.terms.tolist()
-
-        def exact(z, tau, pwl=g.pwl):
-            return pwl.flow(z, tau)
+    if g.exact_flow is not None:
+        def exact(z, tau, inner=g.exact_flow):
+            z = np.asarray(z, dtype=float).copy()
+            for k in range(z.shape[-1]):
+                z[..., k] = inner(z[..., k:k + 1], tau)[..., 0]
+            return z
 
     tag = "tensor" if g.tag is not None else None
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=g.lipschitz_bound,
                        label=label, tag=tag, params=params if tag else None,
-                       exact_flow=exact, pwl=g.pwl)
+                       exact_flow=exact)
 
 
 def _build_tensor(params: dict) -> VectorField:
@@ -74,31 +81,25 @@ def _build_tensor(params: dict) -> VectorField:
 register_family("tensor", _build_tensor)
 
 
-def _comove_field(g1d: VectorField, i: int, j: int, n: int, sign: float) -> VectorField:
-    """dz_i = sign * g(z_j), dz_j = g(z_j), rest frozen; conserves z_i - sign z_j."""
-    D = np.zeros(n)
-    D[i] = sign
-    D[j] = 1.0
-    A = np.zeros((n, n))
-    A[i, j] = 1.0
-    A[j, j] = 1.0
-    return apply_restriction(tensor_field(g1d, n),
-                             AffineRestriction(D, A, np.zeros(n), regime="tensor"))
+def _read_j_field(g1d: VectorField, j: int, n: int, coeffs: dict) -> VectorField:
+    """ReLU field dz_r = coeffs[r] * g(z_j) reading coordinate j only, rest frozen.
 
-
-def _j_only_field(g1d: VectorField, j: int, n: int, negate: bool) -> VectorField:
-    D = np.zeros(n)
-    D[j] = -1.0 if negate else 1.0
-    A = np.zeros((n, n))
-    A[j, j] = 1.0
-    return apply_restriction(tensor_field(g1d, n),
-                             AffineRestriction(D, A, np.zeros(n), regime="tensor"))
+    With coeffs {i: sign, j: 1} it is the co-moving stage, which conserves
+    z_i - sign z_j; with {j: -1} it is the exact inverse on coordinate j.
+    """
+    if g1d.pwl is None:
+        raise ValueError("shear stages need scalar ReLU-built fields")
+    t = g1d.pwl.terms
+    V = np.zeros((n, len(t)))
+    for r, c in coeffs.items():
+        V[r] = c * t[:, 0]
+    W = np.zeros((len(t), n))
+    W[:, j] = t[:, 1]
+    return relu_field(V, W, t[:, 2], label=f"{g1d.label}|read[{j}]")
 
 
 def _doubling_schedule() -> Schedule:
     """1D schedule whose flow is exactly x -> 2x."""
-    from .families import field_from_terms_1d
-
     t = math.log(2.0)
     up = field_from_terms_1d([(1.0, 1.0, 0.0)], label="double+")
     dn = field_from_terms_1d([(-1.0, -1.0, 0.0)], label="double-")
@@ -127,19 +128,19 @@ def shear_parts(g_schedule: Schedule, i: int, j: int, n: int, sign: float = 1.0,
         raise ValueError("target and control coordinates must differ")
     if sign not in (1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
-    comove = Schedule(tuple((_comove_field(f, i, j, n, sign), t)
-                            for f, t in g_schedule.steps), n)
-    restore = Schedule(tuple((_j_only_field(f, j, n, negate=True), t)
-                             for f, t in reversed(g_schedule.steps)), n)
+
+    def stages(sched):
+        comove = Schedule(tuple((_read_j_field(f, j, n, {i: sign, j: 1.0}), t)
+                                for f, t in sched.steps), n)
+        restore = Schedule(tuple((_read_j_field(f, j, n, {j: -1.0}), t)
+                                 for f, t in reversed(sched.steps)), n)
+        return comove, restore
+
+    comove, restore = stages(g_schedule)
     if include_identity and len(g_schedule.steps):
-        dbl = _doubling_schedule()
-        comove_id = Schedule(tuple((_comove_field(f, i, j, n, sign), t)
-                                   for f, t in dbl.steps), n)
-        restore_id = Schedule(tuple((_j_only_field(f, j, n, negate=True), t)
-                                    for f, t in reversed(dbl.steps)), n)
+        comove_id, restore_id = stages(_doubling_schedule())
     else:
-        comove_id = Schedule((), n)
-        restore_id = Schedule((), n)
+        comove_id = restore_id = Schedule((), n)
     return ShearParts(comove=comove, restore=restore,
                       comove_identity=comove_id, restore_identity=restore_id)
 
@@ -147,6 +148,9 @@ def shear_parts(g_schedule: Schedule, i: int, j: int, n: int, sign: float = 1.0,
 def shear_schedule(g_schedule: Schedule, i: int, j: int, n: int,
                    sign: float = 1.0, include_identity: bool = True) -> Schedule:
     """Flow realizing x_i <- x_i + sign * G(x_j) with G the flow of g_schedule.
+
+    g_schedule must consist of scalar ReLU-built fields; each stage is a ReLU
+    field reading coordinate j.
 
     The co-moving stages add sign * (G(x_j) - x_j) while the controlling
     coordinate evolves; the exact inverse (reversed, negated steps, applied to
@@ -193,17 +197,13 @@ def _difference_shear(abscissae, corrections, i: int, j: int, n: int,
     return plus.then(minus)
 
 
-def tensor_transport(xs, ys, eps: float, seed: int = 0, family1d: str = "relu",
-                     return_trace: bool = False):
+def tensor_transport(xs, ys, eps: float, return_trace: bool = False):
     """Match distinct points to targets using tensor shears only.
 
     Separation moves one colliding pair per stage by a small difference bump
     (exactly zero at all other points); transport then fixes one coordinate
     per shear, since the interpolated correction lands every point at once.
     """
-    if family1d != "relu":
-        raise ValueError("tensor transport ships with the ReLU scalar family; "
-                         "other families need their own increasing realizations")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     m, n = xs.shape

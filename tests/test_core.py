@@ -13,6 +13,7 @@ from flowmap.core import (BlowupError, IntegratorConfig, Schedule,
 from flowmap.families import (AffineRestriction, apply_restriction,
                               field_from_terms_1d, generic_field, negated_field,
                               relu_well_1d)
+from flowmap.tensor import shear_schedule, tensor_field
 from helpers import RK12, term_lists
 
 
@@ -207,7 +208,7 @@ class TestLipschitzSpotCheck:
 def assert_round_trip_bit_faithful(sched):
     doc = json.loads(json.dumps(schedule_to_json(sched)))
     back = schedule_from_json(doc)
-    xs = np.linspace(-2, 2, 33)[:, None]
+    xs = np.linspace(-2, 2, 33 * sched.dim).reshape(-1, sched.dim)
     for (f1, t1), (f2, t2) in zip(sched.steps, back.steps):
         assert t1 == t2
         assert f1.params == f2.params
@@ -222,15 +223,20 @@ class TestScheduleSerialization:
                                                  (negated_field(w.field), math.pi)), 1))
 
     @given(term_lists, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.05, 2.0),
-           st.lists(st.floats(0.0, 0.5), min_size=5, max_size=5))
+           st.lists(st.floats(0.0, 0.5), min_size=5, max_size=5), st.sampled_from([1.0, -1.0]))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_random_fields(self, terms, shift, q1, width, taus):
+    def test_round_trip_random_fields(self, terms, shift, q1, width, taus, sign):
         f = field_from_terms_1d(terms)
         well = relu_well_1d(q1, q1 + width).translated(shift)
         fields = (f, negated_field(f),
                   apply_restriction(f, AffineRestriction.translation(1, shift)),
                   well.field, well.flipped().field)
         assert_round_trip_bit_faithful(Schedule(tuple(zip(fields, taus)), 1))
+        # Tensor contraction steps and shear stages keep their exact flows on reload.
+        tensor_steps = Schedule(((tensor_field(f, 2), taus[0]),
+                                 (tensor_field(well.field, 2), taus[1])), 2)
+        shear = shear_schedule(Schedule(((f, taus[2]),), 1), 0, 1, 2, sign)
+        assert_round_trip_bit_faithful(tensor_steps.then(shear))
 
     def test_unserializable_field_raises(self):
         f = generic_field(lambda z: z, 1, 1.0, "anon")

@@ -1,13 +1,17 @@
 """Grid targets, shrink maps, separation, transport, assembled pipeline."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowmap.core import flow_eval
 from flowmap.families import relu_well_nd
-from flowmap.highd import (PipelineError, ShrinkSpec, approximate_lp,
+from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
                            build_contraction, build_grid_target, separate_points,
                            shrink_map_1d, transport_points)
+from flowmap.rates import compile_heaviside_flow
 from flowmap.targets import TargetSpec, builtin_target_nd
 from flowmap.util import collision_counts
 
@@ -58,6 +62,20 @@ class TestShrink:
         corners = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
         out = flow_eval(sched, corners)
         assert float(np.max(np.abs(out - corners))) <= 1e-6
+
+    @given(st.floats(0.05, 0.95), st.integers(1, 6), st.sampled_from([2, 3]),
+           st.floats(1e-7, 1e-2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_relu_contraction_is_one_tensor_step_per_1d_stage(self, alpha, N, n, eps1, seed):
+        sched = build_contraction(ShrinkSpec(alpha=alpha, N=N, eps1=eps1), relu_well_nd(n), n=n)
+        # The 1D staircase schedule of the exact route, at its per-coordinate budget.
+        beta = min(0.25, 0.9 * eps1 / math.sqrt(n) * N / alpha)
+        sched_1d = compile_heaviside_flow(_staircase_profile(alpha, N, beta), anchor=0.0)
+        assert len(sched) == len(sched_1d)
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(64, n))
+        out = flow_eval(sched, pts)
+        for k in range(n):
+            np.testing.assert_array_equal(out[:, k], flow_eval(sched_1d, pts[:, k:k + 1])[:, 0])
 
     def test_contraction_gap_bound(self):
         spec = ShrinkSpec(alpha=0.6, N=3, eps1=1e-7)
@@ -134,7 +152,7 @@ class TestTransport:
     def test_collision_targets_perturbed(self):
         xs = np.array([[0.1, 0.2], [0.4, 0.5], [0.8, 0.9]])
         ys = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])  # all equal
-        sched = transport_points(xs, ys, WELL2, eps=0.01, seed=0)
+        sched = transport_points(xs, ys, WELL2, eps=0.01)
         out = flow_eval(sched, xs)
         assert float(np.max(np.linalg.norm(out - ys, axis=1))) <= 0.01
 

@@ -1,0 +1,35 @@
+"""The benchmark's tracer still finds, wraps and restores every traced function.
+
+``perfbench/run.py --trace 1`` rebinds flowmap functions by name; a rename or
+deletion in the library would otherwise only show up when a traced benchmark
+run fails.
+"""
+
+import sys
+from pathlib import Path
+
+import flowmap
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.tracing import SPECS, Tracer  # noqa: E402
+
+
+def _bindings():
+    owners = [m for name, m in sorted(sys.modules.items())
+              if m is not None and (name == "flowmap" or name.startswith("flowmap."))]
+    owners += [flowmap.pwl.PwlField, flowmap.families.WellFunction]
+    return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_tracer_patches_every_spec_and_restores_on_exit():
+    before = _bindings()
+    with Tracer() as tracer:
+        patched = tracer.patched
+        assert {attr for _, attr, _ in patched} >= {attr for _, attr, *_ in SPECS.values()}
+        for owner, attr, original in patched:
+            assert vars(owner)[attr] is not original
+    assert tracer.patched == []
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
