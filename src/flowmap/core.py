@@ -75,7 +75,7 @@ class VectorField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lipschitz_bound < 0:
+        if not self.lipschitz_bound >= 0:
             raise ValueError("lipschitz_bound must be nonnegative")
 
 
@@ -138,9 +138,10 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 def _check_state(z: np.ndarray) -> None:
-    if not np.all(np.isfinite(z)):
+    peak = np.max(np.abs(z))  # one reduction; NaN if any entry is NaN
+    if not math.isfinite(peak):
         raise BlowupError("non-finite state during flow evaluation")
-    if np.max(np.abs(z)) > BLOWUP_LIMIT:
+    if peak > BLOWUP_LIMIT:
         raise BlowupError(f"state magnitude exceeded guard {BLOWUP_LIMIT:g}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -40,11 +41,6 @@ class ResNetExport:
     @property
     def S(self) -> int:
         return len(self.fields)
-
-    @property
-    def delta(self) -> float:
-        """Mean step size; per-layer values are in ``deltas``."""
-        return self.source_T / self.S if self.S else 0.0
 
 
 def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
@@ -103,10 +99,14 @@ def export_to_json(net: ResNetExport) -> dict:
 
 
 def export_from_json(doc: dict) -> ResNetExport:
+    """Network from its JSON document; each run of equal (==) layer documents
+    shares one field, as the layers euler_discretize gives one step do."""
     if doc.get("format_version") != EXPORT_FORMAT_VERSION:
         raise ValueError(f"unsupported export format {doc.get('format_version')!r}")
-    fields = tuple(field_from_json(layer) for layer in doc["layers"])
-    return ResNetExport(fields=fields, deltas=tuple(doc["delta_list"]),
+    fields = []
+    for layer, run in groupby(doc["layers"]):
+        fields += [field_from_json(layer)] * len(list(run))
+    return ResNetExport(fields=tuple(fields), deltas=tuple(doc["delta_list"]),
                         source_T=float(doc["meta"]["source_T"]),
                         dim=int(doc["meta"]["dim"]))
 

@@ -51,6 +51,13 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
+def _op_norm(M: np.ndarray) -> float:
+    """Operator 2-norm; for a row or a column it is the Euclidean norm."""
+    if min(M.shape) == 1:
+        return math.hypot(*M.ravel().tolist())
+    return float(np.linalg.norm(M, 2))
+
+
 def relu_field(V, W, b, label: str = "relu") -> VectorField:
     """Field z -> V relu(W z + b) with V (n, q), W (q, n), b (q,).
 
@@ -65,14 +72,14 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape != (q,):
         raise ValueError(f"b must have shape ({q},), got {b.shape}")
-    lip = float(np.linalg.norm(V, 2) * np.linalg.norm(W, 2))
+    lip = _op_norm(V) * _op_norm(W)
 
     def evaluate(z, V=V, W=W, b=b):
         z = np.asarray(z, dtype=float)
         return np.maximum(z @ W.T + b, 0.0) @ V.T
 
     params = {"V": V.tolist(), "W": W.tolist(), "b": b.tolist()}
-    pwl = PwlField(np.column_stack([V[0, :], W[:, 0], b])) if n == 1 else None
+    pwl = PwlField(np.concatenate((V.T, W, b[:, None]), axis=1)) if n == 1 else None
     exact = _relu_exact_flow(V, W, b, pwl)
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
                        tag="relu", params=params, exact_flow=exact, pwl=pwl)
@@ -85,8 +92,8 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[
     scalar kernel; every other driven row must then be an exact multiple c_r
     of row j, and moves by c_r times z_j's change (the co-moving shear stage).
     """
-    rows = np.flatnonzero(np.any(V != 0.0, axis=1))
-    cols = np.flatnonzero(np.any(W != 0.0, axis=0))
+    rows = [i for i, row in enumerate(V.tolist()) if any(row)]
+    cols = [j for j, col in enumerate(zip(*W.tolist())) if any(col)]
     if len(rows) == 0:
         return lambda z, tau: np.asarray(z, dtype=float).copy()
     if len(cols) == 0:
@@ -99,18 +106,18 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[
         return flow_const
     if len(cols) != 1:
         return None
-    j = int(cols[0])
+    j = cols[0]
     others, c = None, None
     if len(rows) > 1:
-        others = rows[rows != j]
+        others = [r for r in rows if r != j]
         if len(others) == len(rows):  # several rows driven from an undriven j
             return None
         k = int(np.flatnonzero(V[j, :])[0])
         c = V[others, k] / V[j, k]
         if not np.array_equal(c[:, None] * V[j, :], V[others, :]):
             return None
-    elif int(rows[0]) != j:
-        i = int(rows[0])
+    elif rows[0] != j:
+        i = rows[0]
 
         def flow_frozen(z, tau, V=V, W=W, b=b, i=i):
             # Driving coordinate i from frozen coordinate j: velocity constant.
@@ -324,12 +331,13 @@ class AffineRestriction:
         object.__setattr__(self, "b", b)
         if self.regime not in ("main", "tensor"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not np.all(np.isin(D, (-1.0, 0.0, 1.0))):
+        if not set(D.tolist()) <= {-1.0, 0.0, 1.0}:
             raise ValueError("D entries must be -1, 0 or +1")
         if self.regime == "main":
-            if np.any(A != np.diag(np.diag(A))):
+            diag = A.diagonal().tolist()
+            if np.count_nonzero(A) != sum(a != 0.0 for a in diag):
                 raise ValueError("main regime requires diagonal A")
-            if np.any(np.abs(np.diag(A)) > 1.0 + 1e-15):
+            if not all(abs(a) <= 1.0 + 1e-15 for a in diag):
                 raise ValueError("main regime requires |A entries| <= 1")
 
     @property

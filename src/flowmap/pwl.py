@@ -14,10 +14,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 __all__ = ["PwlField", "relu_terms_1d"]
+
+
+def _ordered_sum(xs) -> float:
+    """The value np.sum gives: in order below 8 entries, pairwise from 8 on."""
+    return float(np.sum(xs)) if len(xs) >= 8 else reduce(add, xs, 0.0)
 
 
 def relu_terms_1d(terms) -> np.ndarray:
@@ -47,35 +54,32 @@ class PwlField:
     def __post_init__(self):
         terms = relu_terms_1d(self.terms)
         object.__setattr__(self, "terms", terms)
-        v, w, b = terms[:, 0], terms[:, 1], terms[:, 2]
-        live = w != 0.0
-        with np.errstate(over="ignore", divide="ignore"):
-            kinks = np.unique(-b[live] / w[live]) if live.any() else np.empty(0)
-        kinks = kinks[np.isfinite(kinks)]
-        # Piece j covers (kinks[j-1], kinks[j]); piece index runs 0..len(kinks).
-        probes = self._piece_probes(kinks)
-        slope = np.zeros(len(kinks) + 1)
-        icept = np.zeros(len(kinks) + 1)
-        const = float(np.sum(v[~live] * np.maximum(b[~live], 0.0))) if (~live).any() else 0.0
-        for j, x0 in enumerate(probes):
-            act = live & (w * x0 + b > 0.0)
-            slope[j] = float(np.sum(v[act] * w[act]))
-            icept[j] = float(np.sum(v[act] * b[act])) + const
-        object.__setattr__(self, "_kinks", kinks)
-        object.__setattr__(self, "_slope", slope)
-        object.__setattr__(self, "_icept", icept)
-        object.__setattr__(self, "_kl", kinks.tolist())
-        object.__setattr__(self, "_sl", slope.tolist())
-        object.__setattr__(self, "_cl", icept.tolist())
-
-    @staticmethod
-    def _piece_probes(kinks: np.ndarray) -> np.ndarray:
-        if len(kinks) == 0:
-            return np.zeros(1)
-        gap = max(1.0, float(np.max(np.abs(kinks))))
-        with np.errstate(over="ignore"):
-            edges = np.concatenate([[kinks[0] - gap], kinks, [kinks[-1] + gap]])
-            return 0.5 * (edges[:-1] + edges[1:])
+        # Terms with w == 0 add a constant, the others a kink (kept when
+        # finite).  Piece j covers (kinks[j-1], kinks[j]), j = 0..len(kinks),
+        # and a term is active on it when positive at the piece's probe.
+        rows = terms.tolist()
+        live = [(v, w, b) for v, w, b in rows if w != 0.0]
+        base = _ordered_sum([v * max(b, 0.0) for v, w, b in rows if w == 0.0])
+        kinks = sorted({k for k in (-b / w for _, w, b in live) if math.isfinite(k)})
+        if kinks:
+            gap = max(1.0, abs(kinks[0]), abs(kinks[-1]))
+            edges = [kinks[0] - gap, *kinks, kinks[-1] + gap]
+            probes = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+        else:
+            probes = [0.0]
+        # Sums run in term order, as np.sum does, so each entry equals the
+        # per-piece numpy sum over the active terms bit for bit.
+        slope, icept = [], []
+        for x0 in probes:
+            act = [(v, w, b) for v, w, b in live if w * x0 + b > 0.0]
+            slope.append(_ordered_sum([v * w for v, w, _ in act]))
+            icept.append(_ordered_sum([v * b for v, _, b in act]) + base)
+        object.__setattr__(self, "_kinks", np.array(kinks, dtype=float))
+        object.__setattr__(self, "_slope", np.array(slope))
+        object.__setattr__(self, "_icept", np.array(icept))
+        object.__setattr__(self, "_kl", kinks)
+        object.__setattr__(self, "_sl", slope)
+        object.__setattr__(self, "_cl", icept)
 
     # -- evaluation -------------------------------------------------------
 
@@ -88,21 +92,6 @@ class PwlField:
     def lipschitz_bound(self) -> float:
         """Exact Lipschitz constant: max absolute slope over pieces."""
         return float(np.max(np.abs(self._slope))) if len(self._slope) else 0.0
-
-    # -- algebra on term lists -------------------------------------------
-
-    def scaled(self, c: float) -> "PwlField":
-        """Field x -> c * f(x)."""
-        t = self.terms.copy()
-        t[:, 0] *= c
-        return PwlField(t)
-
-    def precomposed_affine(self, a: float, beta: float) -> "PwlField":
-        """Field x -> f(a x + beta); stays in the same ReLU term family."""
-        t = self.terms.copy()
-        t[:, 2] = t[:, 1] * beta + t[:, 2]
-        t[:, 1] = t[:, 1] * a
-        return PwlField(t)
 
     # -- exact flow -------------------------------------------------------
 

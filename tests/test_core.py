@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmap.core import (BlowupError, IntegratorConfig, Schedule,
-                          StepBudgetError, flow_eval, jacobian_sign_check,
+                          StepBudgetError, VectorField, flow_eval, jacobian_sign_check,
                           schedule_from_json, schedule_to_json)
 from flowmap.families import (AffineRestriction, apply_restriction,
                               field_from_terms_1d, generic_field, negated_field,
@@ -60,8 +60,31 @@ class TestFlowEval:
 
     def test_blowup_guard(self):
         f = field_from_terms_1d([(1.0, 1.0, 0.0)])
-        with pytest.raises(BlowupError):
+        with pytest.raises(BlowupError, match="exceeded guard"):
             flow_eval(Schedule(((f, 40.0),), 1), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+        (2e12, "exceeded guard"), (-2e12, "exceeded guard"), (1e12, None)])
+    def test_blowup_guard_names_the_cause_mid_flow(self, bad, message):
+        # The middle step puts `bad` into one entry of a batch; the guard
+        # after that step must name why, and a state at the guard passes.
+        def plant(z, tau):
+            z = z.copy()
+            z[2, 1] = bad
+            return z
+
+        shift = tensor_field(field_from_terms_1d([(0.5, 0.0, 1.0)]), 2)
+        still = tensor_field(field_from_terms_1d([(0.0, 1.0, 0.0)]), 2)
+        planted = VectorField(dim=2, eval=lambda z: np.zeros_like(z), lipschitz_bound=0.0,
+                              exact_flow=plant)
+        sched = Schedule(((shift, 0.5), (planted, 1.0), (still, 1.0)), 2)
+        x = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+        if message is None:
+            assert flow_eval(sched, x)[2, 1] == bad
+            return
+        with pytest.raises(BlowupError, match=message):
+            flow_eval(sched, x)
 
     def test_step_budget(self):
         rough = generic_field(lambda z: np.sin(1000.0 * z), 1, 1000.0, "stiff")

@@ -90,6 +90,11 @@ class TestExport:
         back = export_from_json(doc)
         xs = np.linspace(-1, 3, 41)[:, None]
         np.testing.assert_array_equal(resnet_forward(net, xs), resnet_forward(back, xs))
+        # Each run of a step's layers shares one field, as in the original.
+        live = [f for f, t in sched.steps if t > 0.0]
+        assert len({id(f) for f in back.fields}) == len(live)
+        assert [a is b for a, b in zip(back.fields, back.fields[1:])] == \
+            [a is b for a, b in zip(net.fields, net.fields[1:])]
 
     def test_schema_fields(self):
         net = euler_discretize(Schedule(((LIN, 0.5),), 1), 8)

@@ -38,12 +38,23 @@ class TestReluField:
         with pytest.raises(ValueError):
             fam.relu_field(np.zeros((2, 3)), np.ones((3, 2)), np.ones(4))
 
-    def test_lipschitz_is_operator_norm_product(self):
-        V = np.array([[1.0, -2.0]])
-        W = np.array([[3.0], [0.5]])
-        f = fam.relu_field(V, W, np.zeros(2))
-        assert f.lipschitz_bound == pytest.approx(
-            np.linalg.norm(V, 2) * np.linalg.norm(W, 2))
+    # A row or a column (n == 1 or q == 1) takes the Euclidean norm in closed
+    # form; a true matrix (n, q >= 2) takes the SVD.
+    @given(st.sampled_from([(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (2, 2), (3, 2)]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lipschitz_is_operator_norm_product(self, shape, data):
+        n, q = shape
+        vals = st.floats(-1e3, 1e3, allow_subnormal=False)
+        V = np.array(data.draw(st.lists(vals, min_size=n * q, max_size=n * q))).reshape(n, q)
+        W = np.array(data.draw(st.lists(vals, min_size=n * q, max_size=n * q))).reshape(q, n)
+        f = fam.relu_field(V, W, np.zeros(q))
+        want = np.linalg.norm(V, 2) * np.linalg.norm(W, 2)
+        assert f.lipschitz_bound == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError):
+            fam.relu_field(np.array([[np.nan, 1.0]]), np.ones((2, 1)), np.zeros(2))
 
 
 class TestSigmoidThreshold:
@@ -169,6 +180,12 @@ class TestApplyRestriction:
             AffineRestriction(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(ValueError):
             AffineRestriction(np.ones(1), np.array([[1.5]]), np.zeros(1))
+        with pytest.raises(ValueError, match="D entries"):
+            AffineRestriction(np.array([1.0, np.nan]), np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="diagonal"):
+            AffineRestriction(np.ones(2), np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="entries"):
+            AffineRestriction(np.ones(2), np.diag([1.0, np.nan]), np.zeros(2))
         # tensor regime admits arbitrary A
         AffineRestriction(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
                           np.zeros(2), regime="tensor")

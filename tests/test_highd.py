@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmap.core import flow_eval
-from flowmap.families import relu_well_nd
+from flowmap.families import block_well_1d, relu_well_nd, smn_well_nd
 from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
                            build_contraction, build_grid_target, separate_points,
                            shrink_map_1d, transport_points)
+from flowmap.oned import TransportError
 from flowmap.rates import compile_heaviside_flow
 from flowmap.targets import TargetSpec, builtin_target_nd
 from flowmap.util import collision_counts
@@ -76,6 +77,19 @@ class TestShrink:
         out = flow_eval(sched, pts)
         for k in range(n):
             np.testing.assert_array_equal(out[:, k], flow_eval(sched_1d, pts[:, k:k + 1])[:, 0])
+
+    def test_non_relu_fallback_working_range(self):
+        # The generic route for non-ReLU wells, pinned at the edge of its
+        # working range (see build_contraction).
+        spec = ShrinkSpec(alpha=0.95, N=1, eps1=0.9)
+        sched = build_contraction(spec, block_well_1d("relu"))
+        x = np.linspace(0.0, 1.0, 101)[:, None]
+        gap = np.max(np.abs(flow_eval(sched, x)[:, 0] - shrink_map_1d(0.95, 1)(x[:, 0])))
+        assert gap <= 0.9 * spec.eps1
+        with pytest.raises(TransportError):
+            build_contraction(ShrinkSpec(alpha=0.9, N=1, eps1=0.5), block_well_1d("relu"))
+        with pytest.raises(TransportError):
+            build_contraction(ShrinkSpec(alpha=0.5, N=1, eps1=0.4), smn_well_nd(100, 10, 2))
 
     def test_contraction_gap_bound(self):
         spec = ShrinkSpec(alpha=0.6, N=3, eps1=1e-7)

@@ -7,9 +7,11 @@ that cross kinks, park on equilibria, and start exactly on kinks.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.integrate import solve_ivp
 
 from flowmap.pwl import PwlField
+from helpers import pwl_tables_oracle, table_term_lists
 
 
 def rk_oracle(p: PwlField, x0: float, tau: float) -> float:
@@ -99,11 +101,17 @@ class TestFieldAlgebra:
         p = PwlField([(1.0, 1.0, 0.0), (2.0, 1.0, -1.0)])
         assert p.lipschitz_bound == 3.0  # both terms active right of 1
 
-    def test_precompose_and_scale(self):
-        p = PwlField([(1.0, 1.0, -1.0)])
-        q = p.precomposed_affine(2.0, 0.5).scaled(-3.0)
-        xs = np.linspace(-2, 2, 21)
-        np.testing.assert_allclose(q(xs), -3.0 * p(2.0 * xs + 0.5), rtol=1e-14)
+    # Ten terms, all active on the last piece: there numpy sums pairwise and
+    # the in-order sum of the slopes 0.1 k differs in the last bit.
+    @example([(0.1 * k, 1.0, -k / 16.0) for k in range(1, 11)])
+    @given(table_term_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_equal_per_piece_numpy_sums(self, terms):
+        p = PwlField(terms)
+        kinks, slope, icept = pwl_tables_oracle(terms)
+        assert np.array_equal(p._kinks, kinks)
+        assert np.array_equal(p._slope, slope)
+        assert np.array_equal(p._icept, icept)
 
     def test_negative_tau_rejected(self):
         p = PwlField([(1.0, 1.0, 0.0)])

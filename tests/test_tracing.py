@@ -33,3 +33,12 @@ def test_tracer_patches_every_spec_and_restores_on_exit():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_one_relu_field_records_one_field_and_one_table_build():
+    # pwl.tables times PwlField.__post_init__; if the table build moved out of
+    # it, the metric would read 0 instead of failing.
+    with Tracer() as tracer:
+        flowmap.families.relu_field([[0.5, -1.0]], [[1.0], [2.0]], [0.0, -1.0])
+    assert tracer.calls["families.relu_field"] == 1
+    assert tracer.calls["pwl.tables"] == 1
