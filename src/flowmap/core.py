@@ -5,7 +5,10 @@ composition of the autonomous flows of the individual fields, applied in list
 order.  Evaluation prefers exact closed forms where a field carries one
 (ReLU-built fields that read one coordinate do, and so do tensor fields of
 scalar fields that do) and otherwise falls back to adaptive RK45 or
-fixed-step RK4.
+fixed-step RK4.  A run of consecutive steps whose scalar piecewise-linear
+flows fix every kink is an increasing piecewise-linear map per coordinate;
+it is composed exactly into breakpoints and images and evaluated with one
+interpolation, which moves results at roundoff against stepping the points.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ class VectorField:
     conservative; it is spot-checked by sampling, never computed symbolically.
     ``exact_flow``, when present, maps (x of shape (..., dim), tau) to the
     exact endpoint of the autonomous flow and is preferred by the default
-    integrator config.  ``pwl`` is the ``PwlField`` (terms and exact kink-to-kink
-    flow) of a scalar ReLU-built field, and None for every other field; a
-    scalar ReLU field's ``exact_flow`` runs through this same object.
+    integrator config.  ``pwl`` is the scalar ``PwlField`` whose flow the field
+    applies to every coordinate (for dim 1, the field itself), and None for
+    every other field; ``exact_flow`` runs through this same object.
     """
 
     dim: int
@@ -185,7 +188,14 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     """Endpoint of the schedule's flow from x.
 
     x may be a single point of shape (dim,) or a batch (..., dim); the result
-    has the same shape.  Deterministic for a fixed config.
+    has the same shape, and an empty batch is returned as it is.
+    Deterministic for a fixed config.
+
+    Under ``closed_form_if_available``, each maximal run of consecutive live
+    steps whose ``pwl`` fixes every kink is composed exactly into one
+    increasing piecewise-linear map per coordinate and evaluated by
+    interpolation, which moves results at roundoff against stepping every
+    point through every step.  Every other step runs as its own step.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (sched.dim,):
@@ -193,18 +203,64 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     if not np.all(np.isfinite(x)):
         raise ValueError("initial point must be finite")
     z = x.copy()
+    if z.size == 0:
+        return z
+    exact = cfg.method == "closed_form_if_available"
+    run: list = []
     for f, tau in sched.steps:
         if tau == 0.0:
             continue
-        use_exact = cfg.method == "closed_form_if_available" and f.exact_flow is not None
-        if use_exact:
+        if exact and f.exact_flow is not None and f.pwl is not None and f.pwl.fixes_kinks:
+            run.append((f.pwl, tau))
+            continue
+        if run:
+            _compiled_run(z, run)
+            run = []
+        if exact and f.exact_flow is not None:
             z = f.exact_flow(z, tau)
         elif cfg.method == "rk4_fixed":
             z = _rk4_fixed_step_field(f, z, tau, cfg)
         else:
             z = _rk45_step_field(f, z, tau, cfg)
         _check_state(z)
+    if run:
+        _compiled_run(z, run)
     return z
+
+
+def _compiled_run(z: np.ndarray, run: list) -> None:
+    """Apply a run of (PwlField, tau) steps that fix their kinks to z, column by column.
+
+    Each step maps every piece between its kinks onto itself by an affine
+    map, and only the tails beyond its outermost kinks move (the pieces
+    between two equilibria are still).  On the column's hull, breakpoints B
+    and their images Y are built step by step: the step's kinks inside the
+    image are pulled back through the map so far and inserted, then Y is
+    flowed by the step's own kernel, so each Y entry is bitwise the stepwise
+    image of its breakpoint and the guard sees the column's extremes after
+    every step.  One interpolation then finishes the column.
+    """
+    for k in range(z.shape[-1]):
+        col = z[..., k]
+        B = Y = np.array([col.min(), col.max()])  # Y is B while the map is the identity
+        for pwl, tau in run:
+            kinks = pwl.kinks
+            new = kinks[(kinks > Y[0]) & (kinks < Y[-1])]
+            at = np.searchsorted(Y, new)
+            fresh = Y[at] != new
+            if fresh.any():
+                new, at = new[fresh], at[fresh]
+                if Y is B:
+                    B = Y = np.insert(Y, at, new)
+                else:
+                    B, Y = np.insert(B, at, np.interp(new, Y, B)), np.insert(Y, at, new)
+            moving = (Y < kinks[0]) | (Y > kinks[-1]) if len(kinks) else np.ones(len(Y), bool)
+            if moving.any():
+                Y = Y.copy() if Y is B else Y
+                Y[moving] = pwl.flow(Y[moving], tau)
+            _check_state(Y[[0, -1]])
+        if Y is not B:
+            z[..., k] = np.interp(col, B, Y)
 
 
 def spot_check_lipschitz(f: VectorField, box, samples: int = 2000,

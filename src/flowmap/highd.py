@@ -284,6 +284,12 @@ def _clipped_drive(well: WellFunction, drive: int, read: int, sign: float,
     return relu_field(V, W, b, label=f"clip_drive[{drive}<{read}]")
 
 
+def _require_relu_well(well: WellFunction) -> None:
+    if well.field.tag != "relu":
+        raise PipelineError("transport stages require a ReLU-built well "
+                            "(clipped walls are composed from its family)")
+
+
 def transport_points(xs, ys, well: WellFunction, eps: float, return_trace: bool = False):
     """Carry coordinate-distinct sources onto targets, one coordinate at a time.
 
@@ -311,9 +317,7 @@ def transport_points(xs, ys, well: WellFunction, eps: float, return_trace: bool 
     widths = box[:, 1] - box[:, 0]
     if np.any(widths <= 0):
         raise ValueError("degenerate well geometry: zero interval has no width")
-    if well.field.tag != "relu":
-        raise PipelineError("transport stages require a ReLU-built well "
-                            "(clipped walls are composed from its family)")
+    _require_relu_well(well)
 
     ys_used = ys.copy()
     counts = collision_counts(ys_used)
@@ -431,13 +435,17 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
     surrogate, eps/8 for the point match, eps/8 for the shrink-map modulus
     term, eps/4 for the mass leaked outside the shrunken cells.  Returns
     (schedule, report); the report carries the measured Monte-Carlo error at
-    the fixed seed.
+    the fixed seed.  Raises PipelineError up front unless the well is
+    ReLU-built.
     """
     n = F.n
     if n < 2:
         raise ValueError("the pipeline needs n >= 2; use the 1D machinery otherwise")
     if transport_backend not in ("frozen", "tensor"):
         raise ValueError(f"unknown transport backend {transport_backend!r}")
+    # Frozen transport and, at these tolerances, the contraction of either
+    # backend need a ReLU-built well: fail before the grid stage.
+    _require_relu_well(well)
 
     # 1. Grid surrogate within eps/2.
     grid = None

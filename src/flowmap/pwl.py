@@ -7,6 +7,10 @@ exponential, and a trajectory crosses each kink at most once because scalar
 autonomous trajectories are monotone in time.  Everything downstream that
 composes ReLU-built flows (drives, squeezes, slope compilation, shears) runs
 on this kernel, which makes endpoint evaluation exact up to roundoff.
+
+When every kink is an equilibrium (``fixes_kinks``), no trajectory crosses a
+kink: the flow maps each piece onto itself by an affine map, so it is an
+increasing piecewise-linear map with the field's kinks as breakpoints.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+
+from .core import FlowEvalError
 
 __all__ = ["PwlField", "relu_terms_1d"]
 
@@ -44,9 +50,14 @@ class PwlField:
     terms:
         (k, 3) array of (v, w, b) triples.  Terms with w == 0 contribute the
         constant v * relu(b).
+    fixes_kinks:
+        True when the velocity is exactly 0.0 on both sides of every kink (no
+        tolerance), so the flow is an increasing piecewise-linear map; true
+        for fields without kinks.
     """
 
     terms: np.ndarray
+    fixes_kinks: bool = field(init=False, repr=False, compare=False)
     _kinks: np.ndarray = field(init=False, repr=False, compare=False)
     _slope: np.ndarray = field(init=False, repr=False, compare=False)
     _icept: np.ndarray = field(init=False, repr=False, compare=False)
@@ -74,6 +85,9 @@ class PwlField:
             act = [(v, w, b) for v, w, b in live if w * x0 + b > 0.0]
             slope.append(_ordered_sum([v * w for v, w, _ in act]))
             icept.append(_ordered_sum([v * b for v, _, b in act]) + base)
+        fixed = all(slope[j] * k + icept[j] == 0.0 and slope[j + 1] * k + icept[j + 1] == 0.0
+                    for j, k in enumerate(kinks))
+        object.__setattr__(self, "fixes_kinks", fixed)
         object.__setattr__(self, "_kinks", np.array(kinks, dtype=float))
         object.__setattr__(self, "_slope", np.array(slope))
         object.__setattr__(self, "_icept", np.array(icept))
@@ -87,6 +101,11 @@ class PwlField:
         x = np.asarray(x, dtype=float)
         v, w, b = self.terms[:, 0], self.terms[:, 1], self.terms[:, 2]
         return np.maximum(np.multiply.outer(x, w) + b, 0.0) @ v
+
+    @property
+    def kinks(self) -> np.ndarray:
+        """Sorted distinct finite kinks -b/w."""
+        return self._kinks
 
     @property
     def lipschitz_bound(self) -> float:
@@ -130,6 +149,7 @@ class PwlField:
                 a, c = slope[p], icept[p]
                 v = a * z + c
             if v == 0.0:
+                rem = 0.0
                 break
             if v > 0.0:
                 bnd = kinks[p] if p < K else None
@@ -155,6 +175,8 @@ class PwlField:
                 except OverflowError:
                     z = math.inf if z > zeq else -math.inf
                 rem = 0.0
+        if rem > 0.0:
+            raise _walk_error(rem, K)
         return z
 
     def _flow_inplace(self, z: np.ndarray, tau: float) -> None:
@@ -196,3 +218,12 @@ class PwlField:
                 )
             z[act] = np.where(hit, bnd, z_free)[act]
             rem[act] = np.where(hit, rem - t_used, 0.0)[act]
+        if np.any(rem > 0.0):
+            raise _walk_error(float(np.max(rem)), len(kinks))
+
+
+def _walk_error(rem: float, K: int) -> FlowEvalError:
+    # A trajectory crosses each of the K kinks at most once, so K + 2 pieces
+    # always suffice; time left after them means the tables are inconsistent.
+    return FlowEvalError(f"kink walk left time {rem:.6g} unintegrated after "
+                         f"{K + 2} pieces over {K} kinks")

@@ -48,7 +48,7 @@ def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
     """Coordinatewise field (g(x_1), ..., g(x_n)) from a scalar field g.
 
     The exact flow, when g has one, is g's exact flow applied to one
-    coordinate at a time.
+    coordinate at a time, and the field keeps g's ``pwl``.
     """
     if g.dim != 1:
         raise ValueError("tensor_field needs a 1D inner field")
@@ -70,7 +70,7 @@ def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
     tag = "tensor" if g.tag is not None else None
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=g.lipschitz_bound,
                        label=label, tag=tag, params=params if tag else None,
-                       exact_flow=exact)
+                       exact_flow=exact, pwl=g.pwl)
 
 
 def _build_tensor(params: dict) -> VectorField:

@@ -63,9 +63,6 @@ class TerminalMap:
     def identity(n: int) -> "TerminalMap":
         return TerminalMap(np.eye(n), np.zeros(n))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "W": self.W.tolist(), "c": self.c.tolist()}
-
     @staticmethod
     def from_json(doc: dict) -> "TerminalMap":
         return TerminalMap(np.asarray(doc["W"]), np.asarray(doc["c"]), kind=doc.get("kind", "affine"))

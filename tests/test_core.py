@@ -12,9 +12,53 @@ from flowmap.core import (BlowupError, IntegratorConfig, Schedule,
                           schedule_from_json, schedule_to_json)
 from flowmap.families import (AffineRestriction, apply_restriction,
                               field_from_terms_1d, generic_field, negated_field,
-                              relu_well_1d)
-from flowmap.tensor import shear_schedule, tensor_field
-from helpers import RK12, term_lists
+                              relu_well_1d, soft_threshold_well_1d)
+from flowmap.tensor import _doubling_schedule, shear_schedule, tensor_field
+from helpers import RK12, biases, term_lists
+
+
+def stepwise(sched, x):
+    """The schedule's flow with every point stepped through every step's exact flow."""
+    z = np.asarray(x, dtype=float).copy()
+    for f, tau in sched.steps:
+        if tau > 0.0:
+            z = f.exact_flow(z, tau)
+    return z
+
+
+def well_pair():
+    """A translated relu well and its negation, with the kinks both fields share."""
+    well = relu_well_1d(-0.7, 0.3).translated(0.1)
+    return well.field, negated_field(well.field), np.array([well.q1, well.q2])
+
+
+@st.composite
+def kink_fixing_steps(draw):
+    """One or two steps whose flows fix every kink: a translated (and maybe
+    negated) relu well, a single-term stage with |w| = 1, or the doubling pair."""
+    kind = draw(st.sampled_from(["well", "stage", "double"]))
+    if kind == "double":
+        return list(_doubling_schedule().steps)
+    tau = draw(st.sampled_from([0.0, 0.125, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    if kind == "well":
+        q1 = draw(biases)
+        width = draw(st.integers(1, 32)) / 16.0
+        field = relu_well_1d(q1, q1 + width).translated(draw(biases)).field
+        return [(negated_field(field) if draw(st.booleans()) else field, tau)]
+    sign, w = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+    return [(field_from_terms_1d([(sign, w, draw(biases))]), tau)]
+
+
+@st.composite
+def kink_fixing_runs(draw):
+    """A 1D schedule of such steps, sometimes broken by a soft-threshold-well step."""
+    steps = [s for chunk in draw(st.lists(kink_fixing_steps(), min_size=1, max_size=6))
+             for s in chunk]
+    if draw(st.booleans()):
+        soft = soft_threshold_well_1d().field
+        soft = negated_field(soft) if draw(st.booleans()) else soft
+        steps.insert(draw(st.integers(0, len(steps))), (soft, draw(st.floats(0.1, 1.0))))
+    return Schedule(tuple(steps), 1)
 
 
 def relu_flow(v, w, b, x, tau):
@@ -96,6 +140,63 @@ class TestFlowEval:
         f = field_from_terms_1d([(1.0, 1.0, 0.0)])
         with pytest.raises(ValueError):
             flow_eval(Schedule(((f, 1.0),), 1), np.array([np.nan]))
+
+
+class TestCompiledRuns:
+    """Runs of kink-fixing steps are evaluated as one compiled increasing map."""
+
+    @given(kink_fixing_runs(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_stepwise_and_rk45(self, sched, xs):
+        x = np.array(xs)[:, None]
+        out = flow_eval(sched, x)
+        steps = stepwise(sched, x)
+        assert np.all(np.abs(out - steps) <= 1e-12 * np.maximum(1.0, np.abs(steps)))
+        rk = flow_eval(sched, x, RK12)
+        assert np.all(np.abs(out - rk) <= 5e-9 * np.maximum(1.0, np.abs(rk)))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_empty_and_one_point_batches(self, dim):
+        up, down, _ = well_pair()
+        steps = ((up, 0.7), (down, 0.3), (up, 1.1))
+        sched = Schedule(tuple((tensor_field(f, dim) if dim > 1 else f, t) for f, t in steps), dim)
+        empty = flow_eval(sched, np.empty((0, dim)))
+        assert empty.shape == (0, dim)
+        for x in (np.array([2.0, -1.5, 0.1][:dim]), np.array([[2.0, -1.5, 0.1][:dim]])):
+            np.testing.assert_array_equal(flow_eval(sched, x), stepwise(sched, x))
+
+    def test_points_on_kinks_are_unchanged(self):
+        up, down, kinks = well_pair()
+        sched = Schedule(((up, 0.7), (down, 0.3), (up, 1.1)), 1)
+        # Pulled back through the hull's identity map by interpolation, these
+        # kinks would move by an ulp: (k - lo) + lo != k.
+        x = np.concatenate([kinks, [-2.0, 0.0, 3.0]])[:, None]
+        out = flow_eval(sched, x)
+        np.testing.assert_array_equal(out[:2, 0], kinks)
+        np.testing.assert_allclose(out, stepwise(sched, x), rtol=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_hull_endpoints_are_stepwise_images(self, dim):
+        up, down, _ = well_pair()
+        fields = [up, field_from_terms_1d([(1.0, -1.0, 0.25)]), down,
+                  *(f for f, _ in _doubling_schedule().steps)]
+        sched = Schedule(tuple((tensor_field(f, dim) if dim > 1 else f, 0.4) for f in fields), dim)
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, (40, dim))
+        out, ref = flow_eval(sched, x), stepwise(sched, x)
+        for k in range(dim):
+            ends = [np.argmin(x[:, k]), np.argmax(x[:, k])]
+            np.testing.assert_array_equal(out[ends, k], ref[ends, k])
+        np.testing.assert_allclose(out, ref, rtol=1e-13)
+
+    def test_guard_sees_every_step_of_a_run(self):
+        # The first step carries 1 past the guard and the second brings it
+        # back; only a check after each step sees it.
+        grow = field_from_terms_1d([(1.0, 1.0, 0.0)])
+        shrink = field_from_terms_1d([(-1.0, 1.0, 0.0)])
+        sched = Schedule(((grow, 30.0), (shrink, 30.0)), 1)
+        assert sched.steps[0][0].pwl.fixes_kinks and sched.steps[1][0].pwl.fixes_kinks
+        with pytest.raises(BlowupError, match="exceeded guard"):
+            flow_eval(sched, np.array([[0.5], [1.0]]))
 
 
 class TestExactReluFlow:

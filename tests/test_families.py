@@ -252,6 +252,25 @@ class TestWellTransforms:
         assert w.outside_sign.left == -1 and w.outside_sign.right == -1
         assert w.field.eval(np.array([2.0]))[0] < 0
 
+    def test_fixed_kink_flag(self):
+        # Every kink of these flows is an exact equilibrium, so flow_eval
+        # composes runs of them as one increasing piecewise-linear map.
+        from flowmap.highd import ShrinkSpec, build_contraction
+        from flowmap.rates import compile_heaviside_flow, tv_log_derivative
+        from flowmap.targets import builtin_target_1d
+
+        w = fam.relu_well_1d(-0.3, 0.45)
+        wells = [w, w.translated(0.7), w.translated(-1.3).flipped(), w.flipped()]
+        heaviside = compile_heaviside_flow(tv_log_derivative(builtin_target_1d("pwl4")),
+                                           anchor=0.0)
+        contraction = build_contraction(ShrinkSpec(alpha=0.6, N=3, eps1=1e-3),
+                                        fam.relu_well_nd(2), n=2)
+        fields = ([v.field for v in wells] + [f for f, _ in heaviside.steps]
+                  + [f for f, _ in contraction.steps])
+        assert len(heaviside) and len(contraction)
+        assert all(f.pwl.fixes_kinks for f in fields)
+        assert not fam.soft_threshold_well_1d().field.pwl.fixes_kinks
+
     def test_section_of_nd_well(self):
         w1 = fam.relu_well_nd(3).section_1d()
         assert (w1.q1, w1.q2) == (-1.0, 1.0)

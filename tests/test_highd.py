@@ -202,6 +202,16 @@ class TestPipeline:
                                 grid_N=3, seed=0, mc_samples=20_000)
         assert rep.measured_lp_error <= 0.8
 
+    @pytest.mark.parametrize("backend", ["frozen", "tensor"])
+    def test_non_relu_well_fails_before_the_grid(self, backend, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid stage reached")
+
+        monkeypatch.setattr("flowmap.highd.build_grid_target", no_grid)
+        with pytest.raises(PipelineError, match="require a ReLU-built well"):
+            approximate_lp(builtin_target_nd("flip", 2), eps=0.5, p=1,
+                           well=smn_well_nd(100, 10, 2), transport_backend=backend)
+
     def test_n1_rejected(self):
         F = TargetSpec(fn=lambda x: x, n=1, m=1, domain=[[0, 1]])
         with pytest.raises(ValueError):

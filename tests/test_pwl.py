@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy.integrate import solve_ivp
 
+from flowmap.core import FlowEvalError
 from flowmap.pwl import PwlField
 from helpers import pwl_tables_oracle, table_term_lists
 
@@ -68,6 +69,20 @@ class TestAgainstAdaptiveIntegrator:
         # strictly negative field with a kink: moving left through it
         p = PwlField([(-1.0, 0.0, 1.0), (-1.0, 1.0, -1.0)])
         assert p.flow_scalar(1.0, 0.7) == pytest.approx(rk_oracle(p, 1.0, 0.7), abs=1e-9)
+
+
+    def test_time_left_after_the_walk_raises(self):
+        # Tables overwritten so the velocity is +1 left of the kink at 0 and
+        # -1 right of it: the kink is no equilibrium, yet the walk can never
+        # leave it, so both kernels must say that time was left.
+        p = PwlField([(1.0, 1.0, 0.0)])
+        for name, val in (("_slope", np.zeros(2)), ("_icept", np.array([1.0, -1.0])),
+                          ("_sl", [0.0, 0.0]), ("_cl", [1.0, -1.0])):
+            object.__setattr__(p, name, val)
+        with pytest.raises(FlowEvalError, match="left time 0.5 .* over 1 kinks"):
+            p.flow_scalar(-0.5, 1.0)
+        with pytest.raises(FlowEvalError, match="left time 0.5 .* over 1 kinks"):
+            p.flow(np.array([-0.5, 2.0]), 1.0)
 
 
 class TestVectorScalarConsistency:

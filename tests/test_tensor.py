@@ -58,6 +58,10 @@ class TestTensorField:
         out = tf.exact_flow(x, 0.7)
         expect = [g.pwl.flow_scalar(0.4, 0.7), g.pwl.flow_scalar(-1.1, 0.7)]
         np.testing.assert_allclose(out, expect, rtol=1e-15)
+        assert tf.pwl is g.pwl
+        assert schedule_from_json({"dim": 2, "steps": [dict(
+            family_tag=tf.tag, params=tf.params, tau=0.7)]}).steps[0][0].pwl.terms.tolist() \
+            == g.pwl.terms.tolist()
 
 
 class TestShear:
