@@ -65,8 +65,6 @@ def _well_1d(name: str):
         return fam.relu_well_1d(-1.0, 0.0)
     if name == "soft_threshold":
         return fam.soft_threshold_well_1d()
-    if name.startswith("smn"):
-        return fam.smn_well_1d(100, 10)
     raise ValueError(f"unknown 1D well {name!r}")
 
 
@@ -220,7 +218,7 @@ def build_parser():
     sp.add_argument("--target", help="builtin:NAME or csv:PATH")
     sp.add_argument("--eps", type=float)
     sp.add_argument("--well", default="relu",
-                    choices=["relu", "soft_threshold", "smn"])
+                    choices=["relu", "soft_threshold"])
     common(sp)
     sp.set_defaults(func=cmd_approx1d)
 

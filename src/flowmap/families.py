@@ -11,7 +11,7 @@ so that exact flows survive restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -347,8 +347,11 @@ class AffineRestriction:
     @staticmethod
     def translation(n: int, shift) -> "AffineRestriction":
         """r with D = I, A = I and b = shift: f -> f(z + shift)."""
-        shift = np.broadcast_to(np.asarray(shift, dtype=float), (n,))
-        return AffineRestriction(np.ones(n), np.eye(n), shift)
+        b = np.empty(n)
+        b[...] = shift
+        r = object.__new__(AffineRestriction)  # valid by construction: skip the checks
+        r.__dict__.update(D=np.ones(n), A=np.eye(n), b=b, regime="main")
+        return r
 
     @staticmethod
     def flip(n: int) -> "AffineRestriction":
@@ -476,50 +479,59 @@ class WellFunction:
     def width(self) -> float:
         return float(np.min(self.zero_box[:, 1] - self.zero_box[:, 0]))
 
+    def _replace(self, **changes) -> "WellFunction":
+        # dataclasses.replace would re-run __post_init__ on values that
+        # already passed it.
+        out = object.__new__(WellFunction)
+        out.__dict__.update(self.__dict__, **changes)
+        return out
+
     def translated(self, delta) -> "WellFunction":
         """Well with zero box shifted by +delta (field x -> h(x - delta))."""
-        delta = np.broadcast_to(np.asarray(delta, dtype=float), (self.dim,))
-        new_field = apply_restriction(self.field, AffineRestriction.translation(self.dim, -delta))
-        return replace(self, field=new_field, zero_box=self.zero_box + delta[:, None])
+        r = AffineRestriction.translation(self.dim, -np.asarray(delta, dtype=float))
+        # zero_box - (-delta) equals zero_box + delta bit for bit.
+        return self._replace(field=apply_restriction(self.field, r),
+                             zero_box=self.zero_box - r.b[:, None])
 
     def flipped(self) -> "WellFunction":
-        new_field = negated_field(self.field)
         sign = OutsideSign(-self.outside_sign.left, -self.outside_sign.right)
-        return replace(self, field=new_field, outside_sign=sign)
+        return self._replace(field=negated_field(self.field), outside_sign=sign)
 
     def section_1d(self, component: int = 0, axis: int = 0, base=None) -> "WellFunction":
         """1D well from the given component along an axis line through base.
 
-        ReLU-built wells section into exact ReLU term lists; other families
-        get a numeric wrapper field.  base defaults to the zero-box center,
-        so the other coordinates contribute nothing.
+        ReLU-built wells section into exact ReLU term lists.  base defaults
+        to the zero-box center, so the other coordinates contribute nothing.
         """
+        self.require_piece_tables("section_1d")
         if base is None:
             base = self.zero_box.mean(axis=1)
         base = np.asarray(base, dtype=float)
-        box = self.zero_box[axis:axis + 1, :].copy()
-        if self.field.tag == "relu" and self.field.params is not None:
-            V = np.asarray(self.field.params["V"], dtype=float)
-            W = np.asarray(self.field.params["W"], dtype=float)
-            b = np.asarray(self.field.params["b"], dtype=float)
-            off = W @ base - W[:, axis] * base[axis] + b
-            terms = np.column_stack([V[component, :], W[:, axis], off])
-            f1 = field_from_terms_1d(terms, label=f"{self.label}|section{component},{axis}")
-        else:
-            nd_eval = self.field.eval
-
-            def section_eval(x, nd_eval=nd_eval, base=base, axis=axis, component=component):
-                x = np.asarray(x, dtype=float)
-                pts = np.broadcast_to(base, x.shape[:-1] + base.shape).copy()
-                pts[..., axis] = x[..., 0]
-                return nd_eval(pts)[..., component:component + 1]
-
-            f1 = VectorField(dim=1, eval=section_eval,
-                             lipschitz_bound=self.field.lipschitz_bound,
-                             label=f"{self.label}|section{component},{axis}")
-        return WellFunction(dim=1, field=f1, zero_box=box,
+        V = np.asarray(self.field.params["V"], dtype=float)
+        W = np.asarray(self.field.params["W"], dtype=float)
+        b = np.asarray(self.field.params["b"], dtype=float)
+        off = W @ base - W[:, axis] * base[axis] + b
+        terms = np.column_stack([V[component, :], W[:, axis], off])
+        f1 = field_from_terms_1d(terms, label=f"{self.label}|section{component},{axis}")
+        return WellFunction(dim=1, field=f1, zero_box=self.zero_box[axis:axis + 1, :].copy(),
                             outside_sign=self.outside_sign, slack=self.slack,
                             label=f"{self.label}|1d")
+
+    def require_piece_tables(self, what: str) -> None:
+        """Raise ValueError unless the well is ReLU-built with slack 0.
+
+        Point matching parks squeezed points next to the zero interval and
+        times every stage from the walls' piece tables (``field.pwl``; for
+        n >= 2, those of the ReLU well's 1D sections).  A wall with a dead
+        zone (slack > 0) stalls parked points, and a wall without piece
+        tables has no closed-form hitting times.
+        """
+        tables = self.field.pwl is not None if self.dim == 1 else self.field.tag == "relu"
+        faults = [f for f, bad in (("no piece tables", not tables),
+                                   (f"slack {self.slack:g}", self.slack > 0)) if bad]
+        if faults:
+            raise ValueError(f"{what} needs a ReLU-built well, with piece tables (field.pwl) "
+                             f"and slack 0; {self.label or 'this well'} has {' and '.join(faults)}")
 
 
 def relu_well_1d(q1: float, q2: float) -> WellFunction:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import Schedule, flow_eval
 from .families import AffineRestriction, WellFunction, apply_restriction, relu_field
-from .oned import approx_increasing
 from .rates import LogDerivativeProfile, compile_heaviside_flow
 from .targets import TargetSpec
 from .tensor import tensor_field, tensor_transport
@@ -150,29 +149,20 @@ def build_contraction(spec: ShrinkSpec, well: WellFunction, n: Optional[int] = N
     """Flow-map approximation of the coordinatewise shrink map h x ... x h.
 
     Each 1D stage becomes one tensor step, which applies it to every
-    coordinate at once (flows on different coordinates commute).  ReLU-built
-    wells use the exact route: the flats are given a tiny positive
-    slope beta = eps1 N / alpha and the resulting strictly increasing staircase
-    is compiled exactly from its slope profile, so the sup gap to the ideal
-    shrink map is exactly alpha beta / N per coordinate.  Other families fall
-    back to the generic increasing-approximation construction; at tolerances
-    below alpha / N per coordinate (the identity's own gap) it met, in trials,
-    only some N = 1 specs with ``block_well_1d`` wells (eps1 0.4 to 0.9).
+    coordinate at once (flows on different coordinates commute).  The flats
+    are given a tiny positive slope beta = eps1 N / alpha and the resulting
+    strictly increasing staircase is compiled exactly from its slope
+    profile, so the sup gap to the ideal shrink map is exactly alpha beta / N
+    per coordinate.  The well must be ReLU-built (piece tables, slack 0);
+    others raise ValueError before any work.
     """
+    well.require_piece_tables("build_contraction")
     if n is None:
         n = well.dim
     eps_coord = 0.9 * spec.eps1 / math.sqrt(n)
-    if well.field.tag == "relu":
-        beta = min(0.25, eps_coord * spec.N / spec.alpha)
-        profile = _staircase_profile(spec.alpha, spec.N, beta)
-        sched_1d = compile_heaviside_flow(profile, anchor=0.0)
-        steps_1d = sched_1d.steps
-    else:
-        well_1d = well if well.dim == 1 else well.section_1d()
-        h = shrink_map_1d(spec.alpha, spec.N)
-        res = approx_increasing(h, eps_coord, well_1d, domain=(0.0, 1.0))
-        steps_1d = res.schedule.steps
-    return Schedule(tuple((tensor_field(f, n), tau) for f, tau in steps_1d), n)
+    beta = min(0.25, eps_coord * spec.N / spec.alpha)
+    sched_1d = compile_heaviside_flow(_staircase_profile(spec.alpha, spec.N, beta), anchor=0.0)
+    return Schedule(tuple((tensor_field(f, n), tau) for f, tau in sched_1d.steps), n)
 
 
 # -- point separation ---------------------------------------------------------

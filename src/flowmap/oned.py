@@ -8,6 +8,7 @@ the squeeze with the exact inverse flow afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,105 +41,43 @@ class NotIncreasingError(ValueError):
     """Target fails the increasing probe; flow maps cannot approximate it."""
 
 
-def _well_upper_sign(well: WellFunction) -> int:
-    return well.outside_sign.right
-
-
 def _place_well(well: WellFunction, upper_edge: float) -> WellFunction:
     """Translate the well so its zero interval's upper edge sits at upper_edge."""
     return well.translated(upper_edge - well.q2)
 
 
-def _step_flow(field, x: float, tau: float, cfg: IntegratorConfig) -> float:
-    if tau == 0.0:
-        return float(x)
-    if cfg.method == "closed_form_if_available" and field.pwl is not None:
-        return field.pwl.flow_scalar(x, tau)
-    out = flow_eval(Schedule(((field, tau),), 1), np.array([x]), cfg)
-    return float(out[0])
-
-
-TIME_CAP = 1e4
-
-
-def _bisect_time(advance, start: float, target: float, direction: int,
-                 tol_z: float, time_cap: float = TIME_CAP):
-    """Smallest tau with advance(tau) past target; advance monotone in tau.
-
-    direction is the sign of (target - start).  Returns (tau, endpoint).
-    Brackets beyond the time cap are rejected: they arise when a well with
-    nonzero interior slack (smoothed walls) must resolve separations finer
-    than its smoothing scale, and the numeric integrator is not trustworthy
-    over such horizons.
-    """
-    if start == target:
-        return 0.0, start
-    hi = 1.0
-    while True:
-        z = advance(hi)
-        if (z - target) * direction >= 0.0:
-            break
-        hi *= 2.0
-        if hi > time_cap:
-            raise TransportError(
-                f"drive time exceeds the cap {time_cap:g}; the well's slack or "
-                "wall smoothing is too coarse for the requested separations")
-    lo = 0.0
-    z_best, t_best = advance(hi), hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        z = advance(mid)
-        if abs(z - target) <= tol_z:
-            return mid, z
-        if (z - target) * direction < 0.0:
-            lo = mid
-        else:
-            hi = mid
-            z_best, t_best = z, mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return t_best, z_best
-
-
-def transport_time(well: WellFunction, from_x: float, to_x: float,
-                   root_tol: float = 1e-10,
-                   cfg: IntegratorConfig = DEFAULT_CONFIG):
+def transport_time(well: WellFunction, from_x: float, to_x: float):
     """Drive direction and time mapping from_x to to_x with +/- the well field.
 
     Both points must lie strictly on the same side of the well's zero
-    interval; the zero interval itself is a wall of fixed points.
+    interval; the zero interval itself is a wall of fixed points.  The time
+    is the closed-form hitting time of the driving field's piece tables.
     """
     if well.dim != 1:
         raise ValueError("transport_time is a 1D operation")
+    well.require_piece_tables("transport_time")
     q1, q2 = well.q1, well.q2
     if from_x == to_x:
         return +1, 0.0
-    sides = []
-    for x in (from_x, to_x):
-        if x > q2:
-            sides.append(+1)
-        elif x < q1:
-            sides.append(-1)
-        else:
-            sides.append(0)
-    if sides[0] == 0:
+    side0, side1 = ((x > q2) - (x < q1) for x in (from_x, to_x))
+    if side0 == 0:
         raise TransportError(f"from_x={from_x} lies inside the closed zero interval "
                              f"[{q1}, {q2}]: it is a fixed point of the drive")
-    if sides[1] == 0 or sides[0] != sides[1]:
+    if side1 != side0:
         raise TransportError(f"points {from_x}, {to_x} must lie strictly on the same "
                              f"side of the zero interval [{q1}, {q2}]")
-    out_sign = well.outside_sign.right if sides[0] > 0 else well.outside_sign.left
-    direction = 1 if to_x > from_x else -1
-    sign = direction * out_sign
+    out_sign = well.outside_sign.right if side0 > 0 else well.outside_sign.left
+    sign = (1 if to_x > from_x else -1) * out_sign
     field = well.field if sign > 0 else negated_field(well.field)
+    return sign, _drive_time(field, from_x, to_x)
 
-    def advance(tau):
-        return _step_flow(field, from_x, tau, cfg)
 
-    tau, z = _bisect_time(advance, from_x, to_x, direction, root_tol)
-    if abs(z - to_x) > max(root_tol, 1e-9 * max(1.0, abs(to_x))):
-        raise TransportError(f"bisection stalled at |z - target| = {abs(z - to_x):.3g}")
-    return sign, tau
+def _drive_time(field, z0: float, z1: float) -> float:
+    tau = field.pwl.hitting_time(z0, z1)
+    if not math.isfinite(tau):
+        raise TransportError(f"{z1} is not reachable from {z0}: an equilibrium of the "
+                             "drive lies between them")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -159,6 +98,7 @@ class PointMatchProblem:
             raise ValueError("eps must be positive")
         if self.well.dim != 1:
             raise ValueError("need a 1D well")
+        self.well.require_piece_tables("point matching")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -184,18 +124,21 @@ def match_points_result(p: PointMatchProblem,
 
     Stage k drives the image of xs[k] to ys[k] after squeezing the already
     matched points into the drive well's zero interval, then undoes the
-    squeeze exactly.  Per-stage root tolerance is eps / (10 m) so stage
-    errors cannot accumulate past eps.
+    squeeze exactly.  Squeeze and drive times are closed-form hitting times:
+    since the unsqueeze inverts the squeeze S, the drive takes S(cur) to
+    S(target).  Each stage must land within eps / (10 m) of its target, so
+    stage errors cannot accumulate past eps; ``cfg`` integrates the final
+    verification of the whole schedule.
 
     The squeeze parks points close to the drive well's zero interval, so the
-    well's walls must grow promptly away from it (the ReLU and soft-threshold
-    wells grow linearly).  Walls with a dead zone, like the smoothed
-    staircase surrogates, stall there and fail the drive-time cap.
+    well's walls must grow promptly away from it; ``PointMatchProblem``
+    admits only wells with piece tables and slack 0 (the ReLU and
+    soft-threshold wells, which grow linearly).
     """
     xs, ys, well0 = p.xs, p.ys, p.well
     m = p.m
     stage_tol = p.eps / (10.0 * m)
-    s_out = _well_upper_sign(well0)
+    s_out = well0.outside_sign.right
     width = well0.q2 - well0.q1
     lo = float(min(xs[0], ys[0]))
     hi = float(max(xs[-1], ys[-1]))
@@ -206,12 +149,6 @@ def match_points_result(p: PointMatchProblem,
     stage_ends: list = []
     pos = xs.astype(float).copy()
 
-    def push(field, tau):
-        steps.append((field, float(tau)))
-        nonlocal pos
-        pos = field.exact_flow(pos[:, None], tau)[:, 0] if field.exact_flow is not None \
-            else flow_eval(Schedule(((field, tau),), 1), pos[:, None], cfg)[:, 0]
-
     for k in range(m):
         cur = float(pos[k])
         target = float(ys[k])
@@ -220,50 +157,41 @@ def match_points_result(p: PointMatchProblem,
             continue
         if k == 0:
             drive_well = _place_well(well0, min(cur, target) - margin)
-            sign, tau = transport_time(drive_well, cur, target, root_tol=stage_tol, cfg=cfg)
+            sign, tau = transport_time(drive_well, cur, target)
             fld = drive_well.field if sign > 0 else negated_field(drive_well.field)
-            push(fld, tau)
-            stage_ends.append(len(steps))
-            continue
+            z_end = fld.pwl.flow_scalar(cur, tau)
+            stage = [(fld, tau)]
+        else:
+            active_min = float(min(pos[: k + 1].min(), target))
+            e_drive = active_min - margin
+            drive_well = _place_well(well0, e_drive)
+            squeeze_well = _place_well(well0, e_drive - 0.5 * width)
+            flipped = negated_field(squeeze_well.field)
+            sq_field, unsq_field = ((squeeze_well.field, flipped) if s_out < 0
+                                    else (flipped, squeeze_well.field))
+            sq, unsq = sq_field.pwl, unsq_field.pwl
 
-        active_min = float(min(pos[: k + 1].min(), target))
-        e_drive = active_min - margin
-        drive_well = _place_well(well0, e_drive)
-        squeeze_well = _place_well(well0, e_drive - 0.5 * width)
-        flipped = negated_field(squeeze_well.field)
-        sq_field, unsq_field = ((squeeze_well.field, flipped) if s_out < 0
-                                else (flipped, squeeze_well.field))
+            # Squeeze long enough that every matched point drops below the
+            # drive well's zero interval edge, but short enough that the
+            # moving point and its target stay above it.
+            p_max = float(pos[:k].max())
+            movers_min = min(cur, target)
+            t_sq = 0.5 * (sq.hitting_time(p_max, e_drive) + sq.hitting_time(movers_min, e_drive))
+            if not (sq.flow_scalar(p_max, t_sq) < e_drive < sq.flow_scalar(movers_min, t_sq)):
+                raise TransportError("squeeze window degenerate; points too close to separate")
 
-        # Squeeze long enough that every matched point drops below the drive
-        # well's zero interval edge, but short enough that the moving point
-        # and its target stay above it.
-        p_max = float(pos[:k].max())
-        movers_min = min(cur, target)
-        t1, _ = _bisect_time(lambda t: _step_flow(sq_field, p_max, t, cfg),
-                             p_max, e_drive, -1, 0.0)
-        t2, _ = _bisect_time(lambda t: _step_flow(sq_field, movers_min, t, cfg),
-                             movers_min, e_drive, -1, 0.0)
-        t_sq = 0.5 * (t1 + t2)
-        if not (_step_flow(sq_field, p_max, t_sq, cfg) < e_drive
-                and _step_flow(sq_field, movers_min, t_sq, cfg) > e_drive):
-            raise TransportError("squeeze window degenerate; points too close to separate")
-
-        sq_cur = _step_flow(sq_field, cur, t_sq, cfg)
-        direction = 1 if target > cur else -1
-        drv_sign = direction * s_out
-        drv_field = drive_well.field if drv_sign > 0 else negated_field(drive_well.field)
-
-        def final_position(tau):
-            z = _step_flow(drv_field, sq_cur, tau, cfg)
-            return _step_flow(unsq_field, z, t_sq, cfg)
-
-        tau, z_end = _bisect_time(final_position, cur, target, direction, stage_tol)
+            sq_cur = sq.flow_scalar(cur, t_sq)
+            drv_sign = (1 if target > cur else -1) * s_out
+            drv_field = drive_well.field if drv_sign > 0 else negated_field(drive_well.field)
+            tau = _drive_time(drv_field, sq_cur, sq.flow_scalar(target, t_sq))
+            z_end = unsq.flow_scalar(drv_field.pwl.flow_scalar(sq_cur, tau), t_sq)
+            stage = [(sq_field, t_sq), (drv_field, tau), (unsq_field, t_sq)]
         if abs(z_end - target) > stage_tol:
-            raise TransportError(f"stage {k}: bisection reached |err|={abs(z_end - target):.3g} "
+            raise TransportError(f"stage {k}: drive landed at |err|={abs(z_end - target):.3g} "
                                  f"> stage tolerance {stage_tol:.3g}")
-        push(sq_field, t_sq)
-        push(drv_field, tau)
-        push(unsq_field, t_sq)
+        for fld, tau in stage:
+            steps.append((fld, tau))
+            pos = fld.pwl.flow(pos, tau)
         stage_ends.append(len(steps))
 
     sched = Schedule(tuple(steps), 1)
@@ -322,6 +250,7 @@ def approx_increasing(phi, eps: float, well: WellFunction,
     a, b = float(domain[0]), float(domain[1])
     if not eps > 0:
         raise ValueError("eps must be positive")
+    well.require_piece_tables("point matching")
     grid = np.linspace(a, b, probe_points + 1)
     vals = np.asarray(fn(grid), dtype=float)
     scale = max(1.0, float(np.max(np.abs(vals))))

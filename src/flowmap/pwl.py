@@ -10,7 +10,9 @@ on this kernel, which makes endpoint evaluation exact up to roundoff.
 
 When every kink is an equilibrium (``fixes_kinks``), no trajectory crosses a
 kink: the flow maps each piece onto itself by an affine map, so it is an
-increasing piecewise-linear map with the field's kinks as breakpoints.
+increasing piecewise-linear map with the field's kinks as breakpoints, and
+``flow`` applies each point's own piece map in one pass instead of walking.
+The same closed forms give exact hitting times (``hitting_time``).
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ class PwlField:
         # per-piece numpy sum over the active terms bit for bit.
         slope, icept = [], []
         for x0 in probes:
-            act = [(v, w, b) for v, w, b in live if w * x0 + b > 0.0]
-            slope.append(_ordered_sum([v * w for v, w, _ in act]))
-            icept.append(_ordered_sum([v * b for v, _, b in act]) + base)
+            act = [(v * w, v * b) for v, w, b in live if w * x0 + b > 0.0]
+            s, c = map(_ordered_sum, zip(*act)) if act else (0.0, 0.0)
+            slope.append(s)
+            icept.append(c + base)
         fixed = all(slope[j] * k + icept[j] == 0.0 and slope[j + 1] * k + icept[j + 1] == 0.0
                     for j, k in enumerate(kinks))
         object.__setattr__(self, "fixes_kinks", fixed)
@@ -118,20 +121,21 @@ class PwlField:
         """Endpoint of dz/dt = f(z), z(0) = x after time tau >= 0.
 
         Vectorized over x.  Exact up to floating point: steps from kink to
-        kink using the affine closed form on each piece.
+        kink using the affine closed form on each piece (one piece per point
+        when every kink is an equilibrium).
         """
         if tau < 0:
             raise ValueError("tau must be nonnegative")
         x_in = np.asarray(x, dtype=float)
         z = x_in.ravel().copy()
         if tau > 0 and z.size:
-            self._flow_inplace(z, float(tau))
+            (self._affine_inplace if self.fixes_kinks else self._walk_inplace)(z, float(tau))
         if x_in.ndim == 0:
             return float(z[0])
         return z.reshape(x_in.shape)
 
     def flow_scalar(self, x: float, tau: float) -> float:
-        """Scalar fast path for flow(); avoids array allocation in root finders."""
+        """Scalar fast path for flow(): the kink walk without arrays."""
         if tau < 0:
             raise ValueError("tau must be nonnegative")
         kinks, slope, icept = self._kl, self._sl, self._cl
@@ -179,7 +183,59 @@ class PwlField:
             raise _walk_error(rem, K)
         return z
 
-    def _flow_inplace(self, z: np.ndarray, tau: float) -> None:
+    def hitting_time(self, z0: float, z1: float) -> float:
+        """Time the flow from z0 takes to reach z1; inf when it never does.
+
+        Trajectories are monotone and cross each kink at most once, so the
+        time is a sum over the pieces between z0 and z1 of ln(v1/v0)/a, or
+        dz/c on a constant piece.  An equilibrium between z0 and z1 (or at
+        z1), or a velocity pointing away from z1, makes it infinite.
+        """
+        z, z1 = float(z0), float(z1)
+        if z == z1:
+            return 0.0
+        if math.isnan(z) or math.isnan(z1):
+            raise ValueError("hitting_time needs non-NaN endpoints")
+        if math.isinf(z) or math.isinf(z1):
+            return math.inf  # growth is at most exponential
+        kinks, slope, icept = self._kl, self._sl, self._cl
+        up = z1 > z
+        t = 0.0
+        while z != z1:
+            p = bisect_right(kinks, z)
+            if not up and p >= 1 and z == kinks[p - 1]:
+                p -= 1
+            a, c = slope[p], icept[p]
+            v = a * z + c
+            if v == 0.0 or (v > 0.0) != up:
+                return math.inf
+            if up:
+                end = min(z1, kinks[p]) if p < len(kinks) else z1
+            else:
+                end = max(z1, kinks[p - 1]) if p >= 1 else z1
+            if a == 0.0:
+                t += (end - z) / v
+            else:
+                ratio = (a * end + c) / v
+                if not ratio > 0.0:
+                    return math.inf
+                t += math.log(ratio) / a
+            z = end
+        return t
+
+    def _affine_inplace(self, z: np.ndarray, tau: float) -> None:
+        # No trajectory leaves its piece, so each moving point takes its own
+        # piece's affine map for the whole of tau: the arithmetic of the
+        # walk's first piece, where no kink is ever hit, bit for bit.
+        p = np.searchsorted(self._kinks, z, side="right")
+        a, c = self._slope[p], self._icept[p]
+        move = a * z + c != 0.0
+        a, c, zm = a[move], c[move], z[move]
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_eq = -c / np.where(a != 0.0, a, 1.0)
+            z[move] = np.where(a == 0.0, zm + c * tau, z_eq + (zm - z_eq) * np.exp(a * tau))
+
+    def _walk_inplace(self, z: np.ndarray, tau: float) -> None:
         rem = np.full(z.shape, tau)
         kinks, slope, icept = self._kinks, self._slope, self._icept
         lo_edge = np.concatenate([[-np.inf], kinks])

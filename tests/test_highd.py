@@ -11,7 +11,6 @@ from flowmap.families import block_well_1d, relu_well_nd, smn_well_nd
 from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
                            build_contraction, build_grid_target, separate_points,
                            shrink_map_1d, transport_points)
-from flowmap.oned import TransportError
 from flowmap.rates import compile_heaviside_flow
 from flowmap.targets import TargetSpec, builtin_target_nd
 from flowmap.util import collision_counts
@@ -78,18 +77,16 @@ class TestShrink:
         for k in range(n):
             np.testing.assert_array_equal(out[:, k], flow_eval(sched_1d, pts[:, k:k + 1])[:, 0])
 
-    def test_non_relu_fallback_working_range(self):
-        # The generic route for non-ReLU wells, pinned at the edge of its
-        # working range (see build_contraction).
-        spec = ShrinkSpec(alpha=0.95, N=1, eps1=0.9)
-        sched = build_contraction(spec, block_well_1d("relu"))
-        x = np.linspace(0.0, 1.0, 101)[:, None]
-        gap = np.max(np.abs(flow_eval(sched, x)[:, 0] - shrink_map_1d(0.95, 1)(x[:, 0])))
-        assert gap <= 0.9 * spec.eps1
-        with pytest.raises(TransportError):
-            build_contraction(ShrinkSpec(alpha=0.9, N=1, eps1=0.5), block_well_1d("relu"))
-        with pytest.raises(TransportError):
-            build_contraction(ShrinkSpec(alpha=0.5, N=1, eps1=0.4), smn_well_nd(100, 10, 2))
+    def test_non_relu_contraction_rejected_up_front(self, monkeypatch):
+        # No piece tables: rejected before the staircase or any field is built.
+        def no_build(*args, **kwargs):
+            raise AssertionError("contraction work started")
+
+        monkeypatch.setattr("flowmap.highd.compile_heaviside_flow", no_build)
+        monkeypatch.setattr("flowmap.highd.tensor_field", no_build)
+        for well in (block_well_1d("relu"), smn_well_nd(100, 10, 2)):
+            with pytest.raises(ValueError, match="needs a ReLU-built well.*no piece tables"):
+                build_contraction(ShrinkSpec(alpha=0.5, N=1, eps1=0.4), well)
 
     def test_contraction_gap_bound(self):
         spec = ShrinkSpec(alpha=0.6, N=3, eps1=1e-7)

@@ -16,6 +16,15 @@ RK12 = IntegratorConfig(method="rk45_adaptive", tol=1e-12)
 WELL = relu_well_1d(-1.0, 0.0)
 
 
+def _forbid_field_builds(monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    # Every well translate, negation and ReLU field goes through these.
+    monkeypatch.setattr("flowmap.families.apply_restriction", no_field)
+    monkeypatch.setattr("flowmap.families.relu_field", no_field)
+
+
 class TestTransportTime:
     def test_relu_drive_time_is_log_ratio(self):
         # Well with upper edge x0 = 0; drive from 2 to 1 takes ln 2 at unit rate.
@@ -37,13 +46,13 @@ class TestTransportTime:
         f = field_from_terms_1d([(1.0, 1.0, -x0), (1.0, -1.0, x0 - 1.0)])
         well = WellFunction(dim=1, field=f, zero_box=np.array([[x0 - 1.0, x0]]),
                             outside_sign=OutsideSign(+1, +1))
-        sign, tau = transport_time(well, x0 + 2.0, x0 + 1.0, root_tol=1e-12)
+        sign, tau = transport_time(well, x0 + 2.0, x0 + 1.0)
         assert sign == -1
         assert tau == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_sigmoid_built_well_lands_within_tolerance(self):
         well = soft_threshold_well_1d()
-        sign, tau = transport_time(well, 3.0, 2.0, root_tol=1e-10)
+        sign, tau = transport_time(well, 3.0, 2.0)
         fld = well.field if sign > 0 else negated_field(well.field)
         out = flow_eval(Schedule(((fld, tau),), 1), np.array([3.0]), RK12)
         assert abs(out[0] - 2.0) <= 1e-8
@@ -118,24 +127,29 @@ class TestApproxIncreasing:
         out = flow_eval(res.schedule, grid[:, None])[:, 0]
         assert float(np.max(np.abs(out - target.fn(grid)))) <= 5e-2
 
-    def test_block_wells_match_points(self):
-        # Residual-block wells have promptly rising walls; numeric flows only.
+    def test_block_wells_rejected_up_front(self, monkeypatch):
+        # Residual-block wells have no piece tables, hence no exact hitting
+        # times: point matching refuses them before building any field.
         from flowmap.families import block_well_1d
 
+        _forbid_field_builds(monkeypatch)
         for sigma in ("relu", "tanh"):
-            well = block_well_1d(sigma)
-            xs = np.array([2.5, 3.5])
-            ys = np.array([2.8, 4.2])
-            sched = match_points(PointMatchProblem(xs, ys, well, 1e-5))
-            out = flow_eval(sched, xs[:, None])[:, 0]
-            assert float(np.max(np.abs(out - ys))) <= 1e-5
+            with pytest.raises(ValueError, match="no piece tables"):
+                match_points(PointMatchProblem(np.array([2.5, 3.5]), np.array([2.8, 4.2]),
+                                               block_well_1d(sigma), 1e-5))
 
-    def test_dead_zone_well_fails_loudly(self):
+    def test_dead_zone_well_rejected_up_front(self, monkeypatch):
         # The smoothed staircase surrogate is flat for a while beyond its
-        # zero box, so parked points stall and the drive-time cap trips.
+        # zero box (slack > 0), so parked points would stall there: rejected
+        # before the partition search or any field build.
         from flowmap.families import smn_well_1d
 
-        with pytest.raises(TransportError):
+        def no_partition(*args, **kwargs):
+            raise AssertionError("partition search started")
+
+        monkeypatch.setattr("flowmap.oned._estimate_omega", no_partition)
+        _forbid_field_builds(monkeypatch)
+        with pytest.raises(ValueError, match="no piece tables and slack"):
             approx_increasing(builtin_target_1d("smooth1"), 0.2, smn_well_1d(200, 14))
 
     def test_smooth_target_meets_budget(self):

@@ -5,14 +5,18 @@ independent adaptive integrator on random term lists, including trajectories
 that cross kinks, park on equilibria, and start exactly on kinks.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from flowmap.core import FlowEvalError
+from flowmap.families import negated_field, relu_well_1d, soft_threshold_well_1d
+from flowmap.oned import TransportError, transport_time
 from flowmap.pwl import PwlField
-from helpers import pwl_tables_oracle, table_term_lists
+from helpers import biases, entries, pwl_tables_oracle, table_term_lists, term_lists
 
 
 def rk_oracle(p: PwlField, x0: float, tau: float) -> float:
@@ -75,14 +79,137 @@ class TestAgainstAdaptiveIntegrator:
         # Tables overwritten so the velocity is +1 left of the kink at 0 and
         # -1 right of it: the kink is no equilibrium, yet the walk can never
         # leave it, so both kernels must say that time was left.
+        # relu(x) fixes its kink; the corrupted tables do not, so the flag is
+        # cleared too and both calls reach the walk.
         p = PwlField([(1.0, 1.0, 0.0)])
         for name, val in (("_slope", np.zeros(2)), ("_icept", np.array([1.0, -1.0])),
-                          ("_sl", [0.0, 0.0]), ("_cl", [1.0, -1.0])):
+                          ("_sl", [0.0, 0.0]), ("_cl", [1.0, -1.0]), ("fixes_kinks", False)):
             object.__setattr__(p, name, val)
         with pytest.raises(FlowEvalError, match="left time 0.5 .* over 1 kinks"):
             p.flow_scalar(-0.5, 1.0)
         with pytest.raises(FlowEvalError, match="left time 0.5 .* over 1 kinks"):
             p.flow(np.array([-0.5, 2.0]), 1.0)
+
+
+def _scale(p: PwlField, *zs) -> float:
+    """Size of the numbers the closed forms round: points and equilibria."""
+    eqs = [abs(c / a) for a, c in zip(p._sl, p._cl) if a != 0.0]
+    return max([1.0, *map(abs, zs), *eqs])
+
+
+def _equilibria(terms) -> list:
+    """Zeros of the field, one per piece, from the independent numpy tables."""
+    kinks, slope, icept = pwl_tables_oracle(terms)
+    edges = np.concatenate([[kinks[0] - 1.0] if len(kinks) else [-1.0], kinks,
+                            [kinks[-1] + 1.0] if len(kinks) else [1.0]])
+    out = []
+    for j, (a, c) in enumerate(zip(slope, icept)):
+        lo, hi = (-np.inf if j == 0 else edges[j]), (np.inf if j == len(slope) - 1 else edges[j + 1])
+        if a != 0.0 and lo <= -c / a <= hi:
+            out.append(-c / a)
+        elif a == 0.0 and c == 0.0:
+            out.append(0.5 * (edges[j] + edges[j + 1]))
+    return out
+
+
+points = st.integers(-192, 192).map(lambda k: k / 64.0) | st.floats(-3.0, 3.0)
+
+
+class TestHittingTime:
+    @given(term_lists, points, points)
+    @settings(max_examples=300, deadline=None)
+    def test_flow_for_the_hitting_time_lands_on_the_target(self, terms, z0, z1):
+        p = PwlField(terms)
+        t = p.hitting_time(z0, z1)
+        assume(math.isfinite(t))
+        # A few ulps of the scale, amplified by the speed-up along the way,
+        # |f(z1) / f(z0)|, which multiplies the time's own rounding.
+        growth = max(1.0, abs(float(p(z1)) / float(p(z0)))) if z0 != z1 else 1.0
+        tol = 16 * np.spacing(_scale(p, z0, z1)) * growth
+        assert abs(p.flow_scalar(z0, t) - z1) <= tol
+        assert abs(p.flow(np.array([z0]), t)[0] - z1) <= tol
+
+    @given(term_lists, points, st.floats(0.05, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_hitting_time_of_a_flow_endpoint_returns_tau(self, terms, z0, tau):
+        p = PwlField(terms)
+        z1 = p.flow_scalar(z0, tau)
+        # The endpoint is known to an ulp, which costs ulp / |f(z1)| in time:
+        # keep cases where that is far below tau.
+        assume(z0 != z1 and abs(float(p(z1))) * tau >= 1e-3 * _scale(p, z0, z1))
+        assert p.hitting_time(z0, z1) == pytest.approx(tau, rel=1e-12)
+
+    @given(term_lists, points, points)
+    @settings(max_examples=300, deadline=None)
+    def test_an_equilibrium_in_between_makes_it_infinite(self, terms, z0, z1):
+        lo, hi = min(z0, z1), max(z0, z1)
+        assume(any(lo + 1e-9 < e < hi - 1e-9 for e in _equilibria(terms)))
+        p = PwlField(terms)
+        assert p.hitting_time(z0, z1) == math.inf
+        assert p.hitting_time(z1, z0) == math.inf
+
+    def test_targets_in_or_across_the_zero_interval(self):
+        well = relu_well_1d(-1.0, 0.0)
+        drive = well.field.pwl
+        for z0, z1 in ((2.0, -0.5), (2.0, 0.0), (-3.0, -1.0), (-3.0, 1.0), (-0.5, 2.0)):
+            assert drive.hitting_time(z0, z1) == math.inf
+            assert negated_field(well.field).pwl.hitting_time(z0, z1) == math.inf
+        for z0, z1 in ((2.0, -0.5), (-3.0, 1.0), (-0.5, 2.0)):
+            with pytest.raises(TransportError):
+                transport_time(well, z0, z1)
+
+    def test_kink_crossing_time_agrees_with_rk45(self):
+        # The soft threshold's kinks at +-2 are no equilibria: both paths
+        # cross one.
+        p = soft_threshold_well_1d().field.pwl
+        for z0, z1 in ((1.5, 3.0), (-3.0, -1.5)):
+            t = p.hitting_time(z0, z1)
+            assert math.isfinite(t)
+            assert rk_oracle(p, z0, t) == pytest.approx(z1, abs=1e-9)
+
+
+def _walked(p: PwlField, x: np.ndarray, tau: float) -> np.ndarray:
+    z = x.copy()
+    p._walk_inplace(z, tau)
+    return z
+
+
+class TestAffineKinkFixingFlow:
+    """Fields that fix their kinks flow each point by its piece's affine map;
+    the kink walk is the oracle, bit for bit."""
+
+    TAUS = (1e-3, 0.7, 40.0, 3000.0)  # 3000 overflows exp(a tau)
+
+    @staticmethod
+    def _points(p: PwlField) -> np.ndarray:
+        k = p.kinks
+        near = np.concatenate([k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf)])
+        return np.concatenate([near, [-1e300, -1e3, -0.3, 0.0, 0.45, 7.0, 1e3, 1e300]])
+
+    def test_wells_and_unit_slope_stages(self):
+        well = relu_well_1d(-1.0, 0.0)
+        fields = [well.field.pwl, well.translated(0.37).field.pwl,
+                  negated_field(well.translated(-2.5).field).pwl,
+                  well.translated(1e3).field.pwl,
+                  PwlField([(0.7, 1.0, -0.3)]), PwlField([(-1.3, -1.0, 0.25)]),
+                  PwlField([(2.0, 1.0, 1.1)]), PwlField([(-0.5, -1.0, -4.0)])]
+        overflowed = False
+        for p in fields:
+            assert p.fixes_kinks
+            x = self._points(p)
+            for tau in self.TAUS:
+                out = p.flow(x, tau)
+                np.testing.assert_array_equal(out, _walked(p, x, tau))
+                overflowed |= bool(np.isinf(out[np.isfinite(x)]).any())
+        assert overflowed
+
+    @given(entries, st.sampled_from([-1.0, 1.0]), biases, points, st.sampled_from(TAUS))
+    @settings(max_examples=200, deadline=None)
+    def test_single_term_stages(self, v, w, b, z, tau):
+        p = PwlField([(v, w, b)])
+        assert p.fixes_kinks
+        x = np.concatenate([self._points(p), [z]])
+        np.testing.assert_array_equal(p.flow(x, tau), _walked(p, x, tau))
 
 
 class TestVectorScalarConsistency:
