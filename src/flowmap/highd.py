@@ -21,7 +21,7 @@ from .families import AffineRestriction, WellFunction, apply_restriction, relu_f
 from .rates import LogDerivativeProfile, compile_heaviside_flow
 from .targets import TargetSpec
 from .tensor import tensor_field, tensor_transport
-from .util import collision_counts, mc_lp_error, rank_spread
+from .util import collision_counts, mc_lp_error, spread_targets
 
 __all__ = [
     "GridTarget",
@@ -309,15 +309,9 @@ def transport_points(xs, ys, well: WellFunction, eps: float, return_trace: bool 
         raise ValueError("degenerate well geometry: zero interval has no width")
     _require_relu_well(well)
 
-    ys_used = ys.copy()
-    counts = collision_counts(ys_used)
-    if any(c > 0 for c in counts):
-        delta = eps / (2.0 * math.sqrt(n) * max(1, m))
-        for i in range(n):
-            if counts[i] > 0:
-                ys_used[:, i] = rank_spread(ys_used[:, i], delta)
-        if any(c > 0 for c in collision_counts(ys_used)):
-            raise PipelineError("could not perturb targets to coordinate-distinct")
+    ys_used = spread_targets(ys, eps)
+    if any(c > 0 for c in collision_counts(ys_used)):
+        raise PipelineError("could not perturb targets to coordinate-distinct")
 
     pts = xs.copy()
     steps = []
@@ -466,8 +460,8 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
     # 3. Transport map psi = transport o separate.
     rigidity = math.inf
     if transport_backend == "tensor":
-        psi = tensor_transport(grid.corners, targets, eps=eps1)
-        sep_steps = 0
+        psi, trace = tensor_transport(grid.corners, targets, eps=eps1, return_trace=True)
+        sep_steps = sum(rec["steps"] for rec in trace if rec["kind"] == "separate")
     else:
         sep = separate_points(grid.corners, well, eps=1.0 / (4.0 * N))
         moved = flow_eval(sep, grid.corners)

@@ -16,7 +16,7 @@ import numpy as np
 from . import families as fam
 from .core import IntegratorConfig, Schedule, flow_eval
 from .discretize import euler_discretize, resnet_forward, truncation_slope
-from .highd import approximate_lp, separate_points, transport_points
+from .highd import approximate_lp, build_grid_target, separate_points, transport_points
 from .oned import PointMatchProblem, approx_increasing, match_points_result
 from .rates import compile_heaviside_flow, rate_sweep, tv_log_derivative
 from .splitting import average_flow_schedule
@@ -250,7 +250,8 @@ def criterion_10_euler_bridge(seed: int = 0) -> dict:
 
 
 def criterion_11_tensor_shear(seed: int = 0) -> dict:
-    """Co-move stages conserve x_i - x_j to 1e-9; 3-point transport within 1e-3."""
+    """Co-move stages conserve x_i - x_j to 1e-9; tensor transport within 1e-3
+    of three points and of the 16 n=2, N=4 grid corners, which need separating."""
     from .rates import translation_gadget
 
     gsched = translation_gadget(0.7, 0.01)
@@ -267,8 +268,13 @@ def criterion_11_tensor_shear(seed: int = 0) -> dict:
     ys = np.array([[0.3, 0.7], [0.2, 0.1], [0.9, 0.4]])
     sched = tensor_transport(xs, ys, eps=1e-3)
     err = float(np.max(np.abs(flow_eval(sched, xs) - ys)))
-    return {"conserved_drift": drift, "transport_error": err,
-            "passed": bool(drift <= 1e-9 and err <= 1e-3)}
+    grid = build_grid_target(builtin_target_nd("identity", 2), 4, p=1)
+    sched, trace = tensor_transport(grid.corners, grid.values, eps=1e-3, return_trace=True)
+    grid_err = float(np.max(np.linalg.norm(flow_eval(sched, grid.corners) - grid.values, axis=1)))
+    seps = sum(rec["kind"] == "separate" for rec in trace)
+    return {"conserved_drift": drift, "transport_error": err, "grid_transport_error": grid_err,
+            "grid_separations": seps,
+            "passed": bool(drift <= 1e-9 and err <= 1e-3 and grid_err <= 1e-3 and seps > 0)}
 
 
 def criterion_12_determinism(seed: int = 0) -> dict:

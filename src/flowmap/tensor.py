@@ -9,6 +9,11 @@ such a co-moving stage with the exact inverse on the controlling coordinate
 realizes the shear x_i <- x_i + g(x_j).  Point separation and transport then
 reduce to interpolating the needed per-point corrections by a difference of
 two increasing piecewise-linear maps, each compiled exactly.
+
+Separation takes one such shear per (coordinate i, read coordinate j) pair, as
+the frozen backend's separation does: it shifts x_i by a multiple of x_j's
+rank, which parts every pair colliding at i that differs at j.  Transport then
+takes one shear per coordinate, landing every point at once.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Schedule, VectorField, field_from_json, register_family
+from .core import Schedule, VectorField, field_from_json, flow_eval, register_family
 from .families import field_from_terms_1d, relu_field
 from .rates import compile_pwl_map
-from .util import collision_counts, rank_spread
+from .util import spread_targets
 
 __all__ = [
     "tensor_field",
@@ -36,12 +41,16 @@ __all__ = [
 NOISE_FLOOR = 1e-9
 
 
-def _loose_collisions(pts: np.ndarray, tol: float = NOISE_FLOOR) -> list:
-    out = []
-    for i in range(pts.shape[1]):
-        vals = np.sort(pts[:, i])
-        out.append(int(np.sum(np.diff(vals) < tol)))
-    return out
+def _clusters(values) -> np.ndarray:
+    """Cluster rank of each value; sorted values closer than NOISE_FLOOR share one.
+
+    The number of collisions is len(values) minus the number of clusters.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=int)
+    ranks[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) >= NOISE_FLOOR)])
+    return ranks
 
 
 def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
@@ -162,8 +171,7 @@ def shear_schedule(g_schedule: Schedule, i: int, j: int, n: int,
     return shear_parts(g_schedule, i, j, n, sign, include_identity).schedule
 
 
-def _difference_shear(abscissae, corrections, i: int, j: int, n: int,
-                      slack: float = 1e-6) -> Schedule:
+def _difference_shear(abscissae, corrections, i: int, j: int, n: int) -> Schedule:
     """Shear x_i += D(x_j) where D interpolates corrections at the abscissae.
 
     D is realized as a difference P - Q of increasing piecewise-linear maps:
@@ -190,8 +198,8 @@ def _difference_shear(abscissae, corrections, i: int, j: int, n: int,
     else:
         slopes = np.array([lam])
         breakpoints = np.empty(0)
-    p_sched = compile_pwl_map(breakpoints, slopes, float(a[0]), float(p_vals[0]), slack=slack)
-    q_sched = compile_pwl_map(np.empty(0), np.array([lam]), 0.0, 0.0, slack=slack)
+    p_sched = compile_pwl_map(breakpoints, slopes, float(a[0]), float(p_vals[0]), slack=1e-6)
+    q_sched = compile_pwl_map(np.empty(0), np.array([lam]), 0.0, 0.0, slack=1e-6)
     plus = shear_schedule(p_sched, i, j, n, sign=1.0, include_identity=False)
     minus = shear_schedule(q_sched, i, j, n, sign=-1.0, include_identity=False)
     return plus.then(minus)
@@ -200,9 +208,17 @@ def _difference_shear(abscissae, corrections, i: int, j: int, n: int,
 def tensor_transport(xs, ys, eps: float, return_trace: bool = False):
     """Match distinct points to targets using tensor shears only.
 
-    Separation moves one colliding pair per stage by a small difference bump
-    (exactly zero at all other points); transport then fixes one coordinate
-    per shear, since the interpolated correction lands every point at once.
+    Separation makes every coordinate's values distinct to the noise floor.
+    For each coordinate i and each read coordinate j on which some pair
+    colliding at i differs, one shear adds delta times the rank of x_j's
+    cluster, with delta = min(eps / (n^2 m), d_i / (3 k)): d_i is the smallest
+    gap at i above the floor and k the number of clusters of x_j, so no point
+    moves by d_i / 3 and no new collision arises.  Transport then fixes one
+    coordinate per shear, since the interpolated correction lands every point
+    at once.  Targets with ties are rank-spread within eps / 2 first.
+
+    With return_trace, each record names its kind; separation records also
+    carry their stage's step count and the collisions at i before and after.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -212,84 +228,57 @@ def tensor_transport(xs, ys, eps: float, return_trace: bool = False):
     if len(np.unique(xs, axis=0)) != m:
         raise ValueError("points must be pairwise distinct")
 
-    ys_used = ys.copy()
-    counts = collision_counts(ys_used)
-    if any(c > 0 for c in counts):
-        delta = eps / (2.0 * math.sqrt(n) * max(1, m))
-        for i in range(n):
-            if counts[i] > 0:
-                ys_used[:, i] = rank_spread(ys_used[:, i], delta)
-
+    ys_used = spread_targets(ys, eps)
     pts = xs.copy()
     sched = Schedule((), n)
     trace = []
-    # Separation: one bump per (tolerance-)colliding pair.  Gaps below the
-    # noise floor count as collisions, and bumps overshoot the floor so that
-    # later interpolation abscissae keep bounded slopes.
-    guard = n * m * m + 1
-    while True:
-        cts = _loose_collisions(pts)
-        if all(c == 0 for c in cts):
-            break
-        guard -= 1
-        if guard <= 0:
-            raise RuntimeError("separation failed to terminate")
-        i = next(k for k in range(n) if cts[k] > 0)
-        srt_i = np.argsort(pts[:, i])
-        pos = int(np.nonzero(np.diff(pts[srt_i, i]) < NOISE_FLOOR)[0][0])
-        group = srt_i[[pos, pos + 1]]
-        k, l, read = None, None, None
-        for jj in range(n):
-            if jj == i:
+    # Separation: one shear per (coordinate, read) pair.  Gaps below the
+    # noise floor count as collisions, and shifts of at least 8 floors keep
+    # later interpolation abscissae at bounded slopes.
+    for i in range(n):
+        for j in range(n):
+            if j == i:
                 continue
-            if abs(pts[group[0], jj] - pts[group[1], jj]) >= NOISE_FLOOR:
-                srt = group[np.argsort(pts[group, jj])]
-                k, l, read = int(srt[0]), int(srt[-1]), jj
+            ranks_i = _clusters(pts[:, i])
+            before = m - 1 - int(ranks_i.max())
+            if before == 0:
                 break
-        if k is None:
-            raise RuntimeError("colliding pair is not separable; points too close "
-                               "in every coordinate")
-        gaps = np.diff(np.sort(pts[:, i]))
-        gaps = gaps[gaps >= NOISE_FLOOR]
-        d_i = float(gaps.min()) if len(gaps) else math.inf
-        delta = max(8.0 * NOISE_FLOOR, 0.5 * min(eps / (n * m * m), d_i / 3.0))
-        absc = pts[:, read].copy()
-        corr = np.zeros(m)
-        corr[k] = delta
-        corr[l] = -delta
-        # Points sharing a read value (within noise) share one interpolation
-        # node; the larger correction wins, which only co-moves the bystander
-        # by at most delta and cannot create new collisions under the cap.
-        srt_r = np.argsort(absc)
-        kept = [int(srt_r[0])]
-        for v in srt_r[1:]:
-            u = kept[-1]
-            if absc[v] - absc[u] < NOISE_FLOOR:
-                if abs(corr[v]) > abs(corr[u]):
-                    corr[u] = corr[v]
-            else:
-                kept.append(int(v))
-        kept = np.asarray(kept)
-        stage = _difference_shear(absc[kept], corr[kept], i, read, n)
-        before = cts[i]
-        new_pts = _flow(stage, pts)
-        after = _loose_collisions(new_pts)[i]
-        if after >= before:
-            raise RuntimeError("separation bump did not reduce collisions")
-        trace.append({"kind": "separate", "coord": i, "read": read,
-                      "collisions_before": before, "collisions_after": after})
-        pts = new_pts
-        sched = sched.then(stage)
+            ranks_j = _clusters(pts[:, j])
+            k = int(ranks_j.max()) + 1
+            if len(np.unique(ranks_i * k + ranks_j)) == m - before:
+                continue  # every pair colliding at i also collides at j
+            gaps = np.diff(np.sort(pts[:, i]))
+            gaps = gaps[gaps >= NOISE_FLOOR]
+            d_i = float(gaps.min()) if len(gaps) else math.inf
+            delta = min(eps / (n * n * m), d_i / (3.0 * k))
+            if delta < 8.0 * NOISE_FLOOR:
+                raise RuntimeError(
+                    f"separation shift {delta:.3g} at coordinate {i} is below 8 noise "
+                    f"floors ({NOISE_FLOOR:g} each): min(eps / (n^2 m), d_i / (3 k)) with "
+                    f"eps {eps:g}, m {m}, smallest gap d_i {d_i:.3g}, k {k} clusters")
+            _, nodes = np.unique(ranks_j, return_index=True)
+            stage = _difference_shear(pts[nodes, j], delta * np.arange(k), i, j, n)
+            new_pts = flow_eval(stage, pts)
+            after = m - 1 - int(_clusters(new_pts[:, i]).max())
+            if after >= before:
+                raise RuntimeError(f"separation shear did not reduce collisions "
+                                   f"at coordinate {i} reading {j}")
+            trace.append({"kind": "separate", "coord": i, "read": j, "steps": len(stage),
+                          "collisions_before": before, "collisions_after": after})
+            pts = new_pts
+            sched = sched.then(stage)
+        if _clusters(pts[:, i]).max() + 1 < m:
+            raise RuntimeError(f"coordinate {i} still has collisions after all reads")
 
     # Transport: one difference shear per coordinate.
     for i in range(n):
         j = (i + 1) % n
         absc = pts[:, j]
-        if m > 1 and float(np.min(np.diff(np.sort(absc)))) < NOISE_FLOOR:
+        if _clusters(absc).max() + 1 < m:
             raise RuntimeError(f"controlling coordinate {j} not separated at pass {i}")
         corr = ys_used[:, i] - pts[:, i]
         stage = _difference_shear(absc, corr, i, j, n)
-        pts = _flow(stage, pts)
+        pts = flow_eval(stage, pts)
         resid = float(np.max(np.abs(pts[:, i] - ys_used[:, i])))
         if resid > max(1e-9, eps * 1e-3):
             raise RuntimeError(f"tensor transport residual {resid:.3g} at coordinate {i}")
@@ -303,8 +292,3 @@ def tensor_transport(xs, ys, eps: float, return_trace: bool = False):
         return sched, trace
     return sched
 
-
-def _flow(sched: Schedule, pts: np.ndarray) -> np.ndarray:
-    from .core import flow_eval
-
-    return flow_eval(sched, pts)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["MeasureResult", "mc_lp_error", "worker_count", "collision_counts",
-           "rank_spread", "sup_probe_points"]
+           "rank_spread", "spread_targets", "sup_probe_points"]
 
 
 def collision_counts(points) -> list:
@@ -33,6 +33,20 @@ def rank_spread(values, delta: float) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     out = values.copy()
     out[order] += delta * np.arange(len(values))
+    return out
+
+
+def spread_targets(targets, eps: float) -> np.ndarray:
+    """Copy of targets whose coordinates with exact ties get a rank spread.
+
+    The spread step eps / (2 sqrt(n) max(1, m)) moves no target by more than eps / 2.
+    """
+    out = np.array(targets, dtype=float)
+    m, n = out.shape
+    delta = eps / (2.0 * math.sqrt(n) * max(1, m))
+    for i, count in enumerate(collision_counts(out)):
+        if count:
+            out[:, i] = rank_spread(out[:, i], delta)
     return out
 
 

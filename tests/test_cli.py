@@ -71,6 +71,14 @@ def test_tensor_backend(tmp_path):
     assert read_json(out / "report.json")["measured_lp_error"] <= 0.6
 
 
+def test_tensor_backend_separates_grid_corners(tmp_path):
+    out = tmp_path / "tn3"
+    rc = main(["tensor", "--target", "builtin:identity", "--n", "3", "--grid-N", "3",
+               "--eps", "0.5", "--out", str(out)])
+    assert rc == 0
+    assert read_json(out / "report.json")["stages"]["separation"] > 0
+
+
 def test_discretize_artifacts(tmp_path):
     a1 = tmp_path / "a1"
     main(["approx1d", "--target", "builtin:quad", "--eps", "1e-1", "--out", str(a1)])

@@ -13,6 +13,7 @@ from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approx
                            shrink_map_1d, transport_points)
 from flowmap.rates import compile_heaviside_flow
 from flowmap.targets import TargetSpec, builtin_target_nd
+from flowmap.tensor import tensor_transport
 from flowmap.util import collision_counts
 
 WELL2 = relu_well_nd(2)
@@ -191,6 +192,19 @@ class TestPipeline:
         _, rep = approximate_lp(F, eps=0.5, p=1, well=WELL2, grid_N=4,
                                 seed=0, mc_samples=20_000)
         assert rep.measured_lp_error <= 0.5
+
+    def test_tensor_report_counts_separation_steps(self):
+        F = builtin_target_nd("flip", 2)
+        full, rep = approximate_lp(F, eps=0.5, p=1, well=WELL2, grid_N=4, seed=0,
+                                   mc_samples=5_000, transport_backend="tensor")
+        grid = build_grid_target(F, 4, p=1)
+        psi, trace = tensor_transport(grid.corners, grid.values, eps=rep.eps1,
+                                      return_trace=True)
+        stages = rep.stages
+        assert stages["separation"] == sum(rec["steps"] for rec in trace
+                                           if rec["kind"] == "separate") > 0
+        assert stages["separation"] + stages["transport"] == len(psi)
+        assert len(full) == len(psi) + stages["contraction"]
 
     @pytest.mark.parametrize("name", ["identity", "flip", "const"])
     def test_three_dimensions(self, name):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from flowmap.core import Schedule, flow_eval, schedule_from_json
 from flowmap.families import field_from_terms_1d
+from flowmap.highd import build_grid_target
 from flowmap.rates import translation_gadget
+from flowmap.targets import builtin_target_nd
 from flowmap.tensor import (shear_parts, shear_schedule, tensor_field,
                             tensor_transport)
 from helpers import RK12, term_lists
@@ -129,6 +131,25 @@ class TestShear:
             shear_schedule(Schedule((), 1), 1, 1, 2)
 
 
+@st.composite
+def lattice_problems(draw):
+    """Distinct sources and colliding targets on an L^n lattice, m > L points.
+
+    With more points than lattice values per coordinate, every coordinate of
+    the sources collides and separation has work to do.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    L = draw(st.integers(2, 4))
+    lattice = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, L)] * n, indexing="ij"),
+                       axis=-1).reshape(-1, n)
+    m = draw(st.integers(L + 1, min(40, len(lattice))))
+    src = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=m, max_size=m,
+                        unique=True))
+    dst = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=m, max_size=m))
+    eps = 10.0 ** draw(st.floats(-4.0, -1.0))
+    return lattice[src], lattice[dst], eps
+
+
 class TestTensorTransport:
     def test_identity(self):
         xs = np.array([[0.1, 0.4], [0.6, 0.2]])
@@ -150,3 +171,28 @@ class TestTensorTransport:
         sched = tensor_transport(xs, ys, eps=1e-3)
         out = flow_eval(sched, xs)
         assert float(np.max(np.abs(out - ys))) <= 1e-3
+
+    @pytest.mark.parametrize("n,N", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                     (4, 2), (4, 3)])
+    def test_identity_grid_corners(self, n, N):
+        grid = build_grid_target(builtin_target_nd("identity", n), N, p=1)
+        sched, trace = tensor_transport(grid.corners, grid.values, eps=1e-3,
+                                        return_trace=True)
+        gap = np.max(np.linalg.norm(flow_eval(sched, grid.corners) - grid.values, axis=1))
+        assert gap < 1e-3
+        assert 0 < sum(rec["kind"] == "separate" for rec in trace) <= n * (n - 1)
+
+    @given(lattice_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_subsets_land_within_eps(self, problem):
+        xs, ys, eps = problem
+        sched, trace = tensor_transport(xs, ys, eps=eps, return_trace=True)
+        assert np.max(np.linalg.norm(flow_eval(sched, xs) - ys, axis=1)) <= eps
+        separations = [rec for rec in trace if rec["kind"] == "separate"]
+        assert separations
+        assert all(rec["collisions_after"] < rec["collisions_before"] for rec in separations)
+
+    def test_separation_shift_below_noise_floor_fails_up_front(self):
+        xs = np.array([[0.5, 0.2], [0.5, 0.8]])
+        with pytest.raises(RuntimeError, match=r"below 8 noise floors .*eps 1e-08, m 2"):
+            tensor_transport(xs, xs, eps=1e-8)
