@@ -64,6 +64,9 @@ class VectorField:
     integrator config.  ``pwl`` is the scalar ``PwlField`` whose flow the field
     applies to every coordinate (for dim 1, the field itself), and None for
     every other field; ``exact_flow`` runs through this same object.
+    ``frozen_drive`` is True when the field reads none of the coordinates it
+    drives (its velocity is constant along its flow); only ``relu_field`` and
+    ``apply_restriction`` set it.
     """
 
     dim: int
@@ -74,6 +77,7 @@ class VectorField:
     params: Optional[dict] = None
     exact_flow: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     pwl: Optional[object] = None
+    frozen_drive: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

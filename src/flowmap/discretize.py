@@ -4,6 +4,11 @@ Each layer applies z <- z + delta * f(z).  Layers are allocated to schedule
 steps proportionally to their durations, with per-step delta = tau / layers
 so no time is lost to rounding; the global truncation error of the resulting
 network is first order in the layer count.
+A step becomes a run of layers sharing one field object and one delta.  A
+frozen drive (``VectorField.frozen_drive``) has the same velocity at every
+layer of its run, since its driven coordinates only meet exact zeros inside
+it, so the forward pass evaluates it once per run; outputs stay bit for bit
+those of the per-layer loop on finite states.
 """
 
 from __future__ import annotations
@@ -37,6 +42,15 @@ class ResNetExport:
     deltas: tuple  # matching step sizes
     source_T: float
     dim: int
+
+    def __post_init__(self):
+        if len(self.fields) != len(self.deltas):
+            raise ValueError(f"{len(self.fields)} layer fields but {len(self.deltas)} deltas")
+        for s, (f, d) in enumerate(zip(self.fields, self.deltas)):
+            if f.dim != self.dim:
+                raise ValueError(f"layer {s}: field dim {f.dim} != network dim {self.dim}")
+            if not (d >= 0.0 and math.isfinite(d)):
+                raise ValueError(f"layer {s}: delta must be finite and nonnegative, got {d}")
 
     @property
     def S(self) -> int:
@@ -80,12 +94,25 @@ def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
 
 
 def resnet_forward(net: ResNetExport, x) -> np.ndarray:
-    """Forward pass z_{s+1} = z_s + delta_s f(z_s); batch-aware."""
+    """Forward pass z_{s+1} = z_s + delta_s f(z_s); batch-aware.
+
+    A frozen-drive run adds its first layer's delta * f(z) once per layer (not
+    k times it at once, which would round differently); other runs evaluate
+    every layer.  Equal bit for bit to the per-layer loop on finite states.
+    """
     z = np.asarray(x, dtype=float).copy()
     if z.shape[-1:] != (net.dim,):
         raise ValueError(f"input shape {z.shape} incompatible with dim {net.dim}")
-    for f, d in zip(net.fields, net.deltas):
-        z = z + d * f.eval(z)
+    for _, run in groupby(zip(net.fields, net.deltas), key=lambda fd: (id(fd[0]), fd[1])):
+        run = list(run)
+        f, d = run[0]
+        if f.frozen_drive:
+            inc = d * f.eval(z)
+            for _ in run:
+                z = z + inc
+        else:
+            for _ in run:
+                z = z + d * f.eval(z)
     return z
 
 
@@ -103,6 +130,8 @@ def export_from_json(doc: dict) -> ResNetExport:
     shares one field, as the layers euler_discretize gives one step do."""
     if doc.get("format_version") != EXPORT_FORMAT_VERSION:
         raise ValueError(f"unsupported export format {doc.get('format_version')!r}")
+    if doc["meta"]["S"] != len(doc["layers"]):
+        raise ValueError(f"meta.S={doc['meta']['S']!r} but {len(doc['layers'])} layers")
     fields = []
     for layer, run in groupby(doc["layers"]):
         fields += [field_from_json(layer)] * len(list(run))

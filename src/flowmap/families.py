@@ -64,7 +64,8 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     Lipschitz bound is the operator-norm product |V| |W|.  Fields that read a
     single coordinate get an exact closed-form flow attached when they drive
     one other coordinate, or that coordinate itself and rows proportional to
-    it (see ``_relu_exact_flow``).
+    it (see ``_relu_exact_flow``).  ``frozen_drive`` is set when V's nonzero
+    rows and W's nonzero columns are disjoint.
     """
     V = _as_matrix(V, name="V")
     n, q = V.shape
@@ -80,20 +81,23 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
 
     params = {"V": V.tolist(), "W": W.tolist(), "b": b.tolist()}
     pwl = PwlField(np.concatenate((V.T, W, b[:, None]), axis=1)) if n == 1 else None
-    exact = _relu_exact_flow(V, W, b, pwl)
-    return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
-                       tag="relu", params=params, exact_flow=exact, pwl=pwl)
-
-
-def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField]):
-    """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl.
-
-    When a single coordinate j is read and drives itself, z_j flows by the
-    scalar kernel; every other driven row must then be an exact multiple c_r
-    of row j, and moves by c_r times z_j's change (the co-moving shear stage).
-    """
     rows = [i for i, row in enumerate(V.tolist()) if any(row)]
     cols = [j for j, col in enumerate(zip(*W.tolist())) if any(col)]
+    exact = _relu_exact_flow(V, W, b, pwl, rows, cols)
+    return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
+                       tag="relu", params=params, exact_flow=exact, pwl=pwl,
+                       frozen_drive=set(rows).isdisjoint(cols))
+
+
+def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField],
+                     rows: list, cols: list):
+    """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl.
+
+    ``rows``/``cols`` are the driven/read coordinates.  When a single
+    coordinate j is read and drives itself, z_j flows by the scalar kernel;
+    every other driven row must then be an exact multiple c_r of row j, and
+    moves by c_r times z_j's change (the co-moving shear stage).
+    """
     if len(rows) == 0:
         return lambda z, tau: np.asarray(z, dtype=float).copy()
     if len(cols) == 0:
@@ -373,7 +377,7 @@ def apply_restriction(f: VectorField, r: AffineRestriction) -> VectorField:
 
     Structured cases: relu fields recompose algebraically; when the
     coordinates read by A are disjoint from those driven by D the argument is
-    frozen along the flow and the velocity is constant.
+    frozen along the flow and the velocity is constant (``frozen_drive``).
     """
     if r.dim != f.dim:
         raise ValueError(f"restriction dim {r.dim} != field dim {f.dim}")
@@ -391,7 +395,8 @@ def apply_restriction(f: VectorField, r: AffineRestriction) -> VectorField:
         b = np.asarray(f.params["b"], dtype=float)
         return relu_field(r.D[:, None] * V, W @ r.A, W @ r.b + b,
                           label=f"{f.label}|restricted")
-    exact = _restricted_exact_flow(f, r)
+    frozen = not np.any(r.A[:, r.D != 0.0])  # A reads no driven coordinate
+    exact = _restricted_exact_flow(f, r, frozen)
     lip = float(np.max(np.abs(r.D)) * f.lipschitz_bound * (np.linalg.norm(r.A, 2) if n > 0 else 0.0))
 
     def evaluate(z, f=f, r=r):
@@ -404,15 +409,14 @@ def apply_restriction(f: VectorField, r: AffineRestriction) -> VectorField:
     tag = "restricted" if f.tag is not None else None
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip,
                        label=f"{f.label}|restricted", tag=tag,
-                       params=params if tag else None, exact_flow=exact)
+                       params=params if tag else None, exact_flow=exact,
+                       frozen_drive=frozen)
 
 
-def _restricted_exact_flow(f: VectorField, r: AffineRestriction):
-    driven = np.flatnonzero(r.D != 0.0)
-    read = np.flatnonzero(np.any(r.A != 0.0, axis=0))
-    if len(driven) == 0:
+def _restricted_exact_flow(f: VectorField, r: AffineRestriction, frozen: bool):
+    if not np.any(r.D):
         return lambda z, tau: np.asarray(z, dtype=float).copy()
-    if len(np.intersect1d(driven, read)) == 0:
+    if frozen:
         # Frozen argument: A z + b constant along the flow, velocity constant.
         def flow_frozen(z, tau, f=f, r=r):
             z = np.asarray(z, dtype=float).copy()
