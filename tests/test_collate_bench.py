@@ -1,0 +1,89 @@
+"""scripts/collate_bench.py on synthetic perfbench result files."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "collate_bench.py"
+SEEDS, TRACE_SEED = (5, 6), 9
+
+# side -> workload -> per-seed (eval_s, failed, attempted); steps is the same everywhere.
+RUNS = {
+    "parent": {"fields": [(2.0, 1, 7), (4.0, 0, 8)], "kernels": [(1.0, 0, 5), (1.0, 0, 5)]},
+    "change": {"fields": [(0.5, 0, 9), (1.5, 0, 9)], "kernels": [(1.2, 0, 5), (0.8, 2, 5)]},
+}
+TRACED_NS = {"parent": 30.0, "change": 8.0}
+SRC_LINES = {"parent": 100, "change": 120}
+
+
+def _provenance(side, seed):
+    return {"git_sha": None, "src_sha256": f"{side}-sha", "src_lines": SRC_LINES[side],
+            "nproc": 2, "cpu_model": "test cpu", "python": "3.x", "numpy": "n", "scipy": "s",
+            "seed": seed}
+
+
+def _write_side(out, side):
+    out.mkdir(parents=True)
+    for w, runs in RUNS[side].items():
+        for seed, (eval_s, failed, attempted) in zip(SEEDS, runs):
+            doc = {"workload": w, "trace": 0, "provenance": _provenance(side, seed),
+                   "failed": failed, "attempted": attempted,
+                   "end_to_end": {"eval_s": {"value": eval_s, "samples": 3, "unit": "s"},
+                                  "steps": {"value": 40, "samples": 1, "unit": "count"}}}
+            (out / f"{w}-seed{seed}-trace0.json").write_text(json.dumps(doc))
+        traced = {"workload": w, "trace": 1, "provenance": _provenance(side, TRACE_SEED),
+                  "per_layer": {"discretize.resnet_forward.ns_per_point_layer":
+                                {"value": TRACED_NS[side], "unit": "ns"}}}
+        (out / f"{w}-seed{TRACE_SEED}-trace1.json").write_text(json.dumps(traced))
+
+
+@pytest.fixture(scope="module")
+def collate_bench():
+    spec = importlib.util.spec_from_file_location("collate_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path, monkeypatch):
+    for side in RUNS:
+        _write_side(tmp_path / side, side)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        str(SCRIPT), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--seeds", f"{SEEDS[0]}-{SEEDS[-1]}", "--trace-seed", str(TRACE_SEED),
+        "--parent-sha", "aaa", "--change-sha", "bbb", "--method", "synthetic", "--out", str(out)])
+    collate_bench.main()
+    doc = json.loads(out.read_text())
+
+    assert doc["seeds"] == list(SEEDS) and doc["trace_seed"] == TRACE_SEED
+    assert doc["git_sha"] == {"parent": "aaa", "change": "bbb"} and doc["method"] == "synthetic"
+    assert doc["src_lines"] == {"parent": 100, "change": 120, "net": 20}
+    assert doc["src_sha256"] == {"parent": "parent-sha", "change": "change-sha"}
+    assert doc["machine"]["cpu_model"] == "test cpu"
+
+    fields = doc["workloads"]["fields"]
+    ev = fields["end_to_end"]["eval_s"]
+    assert ev["unit"] == "s"
+    # np.percentile interpolates linearly: [2, 4] -> q1 2.5, median 3, q3 3.5.
+    assert ev["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "iqr": 1.0, "runs": [2.0, 4.0]}
+    assert ev["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.25, "iqr": 0.5, "runs": [0.5, 1.5]}
+    assert ev["median_change_frac"] == pytest.approx(-2.0 / 3.0)
+    assert (ev["change_lower_pairs"], ev["change_higher_pairs"]) == (2, 0)
+    assert ev["median_gap_exceeds_parent_iqr"] is True
+    steps = fields["end_to_end"]["steps"]
+    assert steps["median_change_frac"] == 0.0
+    assert (steps["change_lower_pairs"], steps["change_higher_pairs"]) == (0, 0)
+    assert steps["median_gap_exceeds_parent_iqr"] is False
+    assert fields["failed"] == {"parent": [1, 15], "change": [0, 18]}
+    assert fields["per_layer_traced"] == {"discretize.resnet_forward.ns_per_point_layer":
+                                          {"unit": "ns", "parent": 30.0, "change": 8.0}}
+
+    kernels = doc["workloads"]["kernels"]
+    ev = kernels["end_to_end"]["eval_s"]
+    assert (ev["change_lower_pairs"], ev["change_higher_pairs"]) == (1, 1)
+    assert ev["parent"]["iqr"] == 0.0 and ev["median_gap_exceeds_parent_iqr"] is False
+    assert kernels["failed"] == {"parent": [0, 10], "change": [2, 10]}

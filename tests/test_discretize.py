@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from flowmap.core import Schedule, flow_eval
-from flowmap.discretize import (euler_discretize, export_from_json, export_to_json,
-                                resnet_forward, truncation_slope)
-from flowmap.families import field_from_terms_1d, generic_field, relu_well_1d
+from flowmap.discretize import (ResNetExport, euler_discretize, export_from_json,
+                                export_to_json, resnet_forward, truncation_slope)
+from flowmap.families import (AffineRestriction, apply_restriction, field_from_terms_1d,
+                              generic_field, relu_field, relu_well_1d, relu_well_nd,
+                              smn_well_nd)
+from flowmap.highd import _frozen_drive, approximate_lp
 from flowmap.oned import PointMatchProblem, match_points
+from flowmap.rates import compile_heaviside_flow, tv_log_derivative
+from flowmap.targets import builtin_target_1d, builtin_target_nd
 
 LIN = field_from_terms_1d([(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)], label="z")
+# A 2D field that reads and drives both coordinates: never hoisted.
+LIN2 = relu_field(np.eye(2), np.array([[0.5, 1.0], [1.0, -0.5]]), np.array([0.1, 0.2]))
 
 
 class TestEulerDiscretize:
@@ -121,3 +128,98 @@ class TestExport:
             if prev is not None:
                 assert err < prev
             prev = err
+
+
+def _per_layer(net, x):
+    """The per-layer Euler loop: the oracle for the run-based forward pass."""
+    z = np.asarray(x, dtype=float).copy()
+    for f, d in zip(net.fields, net.deltas):
+        z = z + d * f.eval(z)
+    return z
+
+
+def _flip_2d(backend):
+    sched, _ = approximate_lp(builtin_target_nd("flip", 2), eps=0.5, p=1, well=relu_well_nd(2),
+                              grid_N=4, seed=0, mc_samples=2_000, transport_backend=backend)
+    return sched
+
+
+PTS_2D = np.random.default_rng(3).uniform(0.0, 1.0, (200, 2))
+
+
+class TestRunForward:
+    """resnet_forward walks runs of layers and evaluates a frozen drive once
+    per run; its outputs equal the per-layer loop bit for bit."""
+
+    def test_frozen_backend_schedule(self):
+        net = euler_discretize(_flip_2d("frozen"), 1024)
+        assert sum(f.frozen_drive for f in net.fields) > net.S // 2
+        np.testing.assert_array_equal(resnet_forward(net, PTS_2D), _per_layer(net, PTS_2D))
+
+    def test_tensor_backend_schedule(self):
+        sched = _flip_2d("tensor")
+        fields = [f for f, _ in sched.steps]
+        shears = [f for f in fields if "|read[" in f.label]
+        tensors = [f for f in fields if f.tag == "tensor"]
+        # Co-moving and restoring shear stages read the coordinate they drive.
+        assert shears and tensors
+        assert not any(f.frozen_drive for f in shears + tensors)
+        net = euler_discretize(sched, 2 * len(sched))
+        np.testing.assert_array_equal(resnet_forward(net, PTS_2D), _per_layer(net, PTS_2D))
+
+    def test_heaviside_schedule_1d(self):
+        sched = compile_heaviside_flow(tv_log_derivative(builtin_target_1d("pwl4")), anchor=0.0)
+        net = euler_discretize(sched, 512)
+        xs = np.linspace(0.0, 1.0, 101)[:, None]
+        np.testing.assert_array_equal(resnet_forward(net, xs), _per_layer(net, xs))
+
+    def test_restricted_non_relu_frozen_drive(self):
+        smn = smn_well_nd(100, 10, 2).field
+        g = apply_restriction(smn, AffineRestriction([1.0, 0.0], np.diag([0.0, 1.0]), [0.0, -0.3]))
+        reads_itself = apply_restriction(smn, AffineRestriction([1.0, 0.0], np.eye(2), [0.0, -0.3]))
+        assert g.tag == "restricted" and g.frozen_drive
+        assert not smn.frozen_drive and not reads_itself.frozen_drive
+        net = euler_discretize(Schedule(((g, 0.7), (LIN2, 0.2), (g, 0.4)), 2), 64)
+        out = resnet_forward(net, PTS_2D)
+        np.testing.assert_array_equal(out, _per_layer(net, PTS_2D))
+        assert not np.array_equal(out, PTS_2D)
+
+    def test_field_in_two_runs_and_at_two_deltas(self):
+        f = relu_field([[1.0], [0.0]], [[0.0, 2.0]], [0.5])  # drives z0 from z1
+        assert f.frozen_drive and not LIN2.frozen_drive
+        net = ResNetExport(fields=(f, f, f, LIN2, LIN2, f, f, f),
+                           deltas=(0.1, 0.1, 0.3, 0.2, 0.2, 0.1, 0.1, 0.1),
+                           source_T=1.2, dim=2)
+        np.testing.assert_array_equal(resnet_forward(net, PTS_2D), _per_layer(net, PTS_2D))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_highd_frozen_drives_are_flagged(self, n):
+        well = relu_well_nd(n)
+        for drive in range(n):
+            for read in set(range(n)) - {drive}:
+                for sign in (1.0, -1.0):
+                    f = _frozen_drive(well, drive, read, sign, a=0.5, offset=0.3)
+                    assert f.tag == "relu" and f.frozen_drive
+
+
+class TestExportValidation:
+    def test_fewer_deltas_than_layers_rejected(self):
+        doc = export_to_json(euler_discretize(Schedule(((LIN, 1.0),), 1), 8))
+        doc["delta_list"] = doc["delta_list"][:3]
+        with pytest.raises(ValueError, match="8 layer fields but 3 deltas"):
+            export_from_json(doc)
+
+    def test_field_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="layer 1: field dim 1 != network dim 2"):
+            ResNetExport(fields=(LIN2, LIN), deltas=(0.1, 0.1), source_T=0.2, dim=2)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_bad_delta_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"layer 1: delta .* got {bad}"):
+            ResNetExport(fields=(LIN, LIN), deltas=(0.1, bad), source_T=0.2, dim=1)
+
+    def test_meta_S_must_match_layer_count(self):
+        doc = export_to_json(euler_discretize(Schedule(((LIN, 1.0),), 1), 8))
+        doc["meta"]["S"] = 3
+        with pytest.raises(ValueError, match="meta.S=3 but 8 layers"):
+            export_from_json(doc)

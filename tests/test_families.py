@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flowmap import families as fam
 from flowmap.core import Schedule, flow_eval
 from flowmap.families import AffineRestriction, apply_restriction, certify_well
-from helpers import RK12, entries, term_lists
+from helpers import RK12, biases, entries, term_lists
 
 
 class TestReluField:
@@ -55,6 +55,25 @@ class TestReluField:
     def test_nan_weights_rejected(self):
         with pytest.raises(ValueError):
             fam.relu_field(np.array([[np.nan, 1.0]]), np.ones((2, 1)), np.zeros(2))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_frozen_drive_flag_and_constant_velocity(self, data):
+        # Each coordinate is driven, read, both or neither; entries of 0 and
+        # -0.0 add zero patterns inside the kept rows and columns.
+        n, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        roles = data.draw(st.lists(st.sampled_from("drbn"), min_size=n, max_size=n))
+        mats = st.lists(entries, min_size=n * q, max_size=n * q)
+        V = np.array(data.draw(mats)).reshape(n, q) * [[r in "db"] for r in roles]
+        W = np.array(data.draw(mats)).reshape(q, n) * [r in "rb" for r in roles]
+        b = np.array(data.draw(st.lists(biases, min_size=q, max_size=q)))
+        f = fam.relu_field(V, W, b)
+        driven, read = np.any(V != 0.0, axis=1), np.any(W != 0.0, axis=0)
+        assert f.frozen_drive == (not np.any(driven & read))
+        if f.frozen_drive:
+            z = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+            s = data.draw(st.floats(0.0, 10.0))
+            np.testing.assert_array_equal(f.eval(z + s * f.eval(z)), f.eval(z))
 
 
 class TestSigmoidThreshold:

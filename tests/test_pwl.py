@@ -139,11 +139,19 @@ class TestHittingTime:
         assume(z0 != z1 and abs(float(p(z1))) * tau >= 1e-3 * _scale(p, z0, z1))
         assert p.hitting_time(z0, z1) == pytest.approx(tau, rel=1e-12)
 
-    @given(term_lists, points, points)
+    @given(term_lists, st.data())
     @settings(max_examples=300, deadline=None)
-    def test_an_equilibrium_in_between_makes_it_infinite(self, terms, z0, z1):
-        lo, hi = min(z0, z1), max(z0, z1)
-        assume(any(lo + 1e-9 < e < hi - 1e-9 for e in _equilibria(terms)))
+    def test_an_equilibrium_in_between_makes_it_infinite(self, terms, data):
+        # The endpoints are drawn around an equilibrium rather than filtered
+        # for one, which would discard most draws.
+        eqs = _equilibria(terms)
+        assume(eqs)
+        e = data.draw(st.sampled_from(eqs))
+        gaps = st.floats(2e-9, 3.0)
+        z0, z1 = e - data.draw(gaps), e + data.draw(gaps)
+        assume(z0 < e < z1)
+        if data.draw(st.booleans()):
+            z0, z1 = z1, z0
         p = PwlField(terms)
         assert p.hitting_time(z0, z1) == math.inf
         assert p.hitting_time(z1, z0) == math.inf
