@@ -138,12 +138,21 @@ def profile_to_jumps(profile: LogDerivativeProfile) -> HeavisideDecomposition:
 
     The jump at location 1 does not influence the flow on [0, 1]; it is kept
     so that the decomposition cost equals the extended total variation.
+    Rejects a pwc profile whose breakpoints are not strictly increasing inside
+    (0, 1) with one value per interval between them.
     """
     if profile.kind != "pwc":
         raise ValueError("step decomposition requires a piecewise-constant profile")
-    u = profile.values
+    bp, u = profile.breakpoints, profile.values
+    if len(u) != len(bp) + 1:
+        raise ValueError(f"pwc profile needs one value per interval: {len(u)} values "
+                         f"for {len(bp)} breakpoints")
+    if np.any(np.diff(bp) <= 0):
+        raise ValueError("pwc profile breakpoints must be strictly increasing")
+    if not np.all((bp > 0.0) & (bp < 1.0)):
+        raise ValueError("pwc profile breakpoints must lie strictly inside (0, 1)")
     jumps = [(0.0, float(u[0]))]
-    for c, d in zip(profile.breakpoints, np.diff(u)):
+    for c, d in zip(bp, np.diff(u)):
         jumps.append((float(c), float(d)))
     jumps.append((1.0, float(-u[-1])))
     cost = math.fsum(abs(h) for _, h in jumps)
@@ -155,38 +164,27 @@ def _relu_stage(sign: float, kink: float):
     return field_from_terms_1d([(float(sign), 1.0, -float(kink))], label="stage")
 
 
-def _built_image(steps, x: float) -> float:
-    """Image of x under the exact flows of the 1D ReLU stages built so far."""
-    z = x
-    for f, tau in steps:
-        z = f.pwl.flow_scalar(z, tau)
-    return z
-
-
 def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
                            slack: float = 0.01) -> Schedule:
     """Exact flow-map realization of an increasing target with pwc ln(phi').
 
     Each jump of height a at location c becomes the flow of sign(a) *
-    relu(x - kink) for time |a|, with the kink placed at the image of c
-    through the stages already built.  The multiplicative part fixes 0, so a
-    nonzero anchor is added by the translation gadget within the given slack.
+    relu(x - kink) for time |a|.  The kink is the image of c under the stages
+    before it, which act on [0, c] as the compiled map phi(x) = int_0^x exp(u)
+    itself, since later stages fix everything left of their kinks.  So every
+    kink is a prefix sum of piece widths times exp(values), computed in one
+    pass.  Every stage fixes 0, so phi(0) = 0 and a nonzero anchor is added by
+    the translation gadget on [0, max(phi(1), 1)] within the given slack.
     Total stage time equals the decomposition cost (the extended TV).
     """
     dec = profile_to_jumps(profile)
-    steps = []
-
-    for c, a in dec.jumps:
-        if a == 0.0:
-            continue
-        kink = _built_image(steps, c)
-        steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
-    b0 = _built_image(steps, 0.0)
-    delta = anchor - b0
-    sched = Schedule(tuple(steps), 1)
-    if delta != 0.0:
-        b1 = _built_image(steps, 1.0)
-        sched = sched.then(translation_gadget(delta, slack, lo=min(b0, 0.0), hi=max(b1, 1.0)))
+    widths = np.diff(np.concatenate([[0.0], profile.breakpoints, [1.0]]))
+    img = np.concatenate([[0.0], np.cumsum(widths * np.exp(profile.values))])
+    steps = tuple((_relu_stage(math.copysign(1.0, a), kink), abs(a))
+                  for (_, a), kink in zip(dec.jumps, img.tolist()) if a != 0.0)
+    sched = Schedule(steps, 1)
+    if anchor != 0.0:
+        sched = sched.then(translation_gadget(anchor, slack, lo=0.0, hi=max(float(img[-1]), 1.0)))
     return sched
 
 
@@ -224,8 +222,13 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
 
     The map has the given interior ``breakpoints`` and one positive slope per
     region (len(slopes) = len(breakpoints) + 1, leftmost region first).  The
-    base slope is realized by a global scaling pair, slope ratios by one ReLU
-    stage per breakpoint, and the anchor by the translation gadget.
+    base slope s0 is realized by a global scaling pair, slope ratios by one
+    ReLU stage per breakpoint, and the anchor by the translation gadget.
+    Before the gadget the flows compose to the map M that is s0 x left of the
+    first breakpoint and has slope ``slopes[j]`` on region j.  A stage moves
+    nothing left of its kink, so each kink is M at its breakpoint, a prefix
+    sum of slopes times region widths; M at ``anchor_x`` and at the ends of
+    the gadget's interval come from the same values.
     """
     bp = np.asarray(breakpoints, dtype=float)
     sl = np.asarray(slopes, dtype=float)
@@ -244,22 +247,28 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
         steps.append((field_from_terms_1d([(sgn, 1.0, 0.0)], label="scale+"), t))
         steps.append((field_from_terms_1d([(-sgn, -1.0, 0.0)], label="scale-"), t))
 
-    for c, ratio in zip(bp, sl[1:] / sl[:-1]):
+    kinks = np.cumsum(np.concatenate([s0 * bp[:1], sl[1:-1] * np.diff(bp)]))
+    for kink, ratio in zip(kinks.tolist(), sl[1:] / sl[:-1]):
         a = math.log(ratio)
-        if a == 0.0:
-            continue
-        kink = _built_image(steps, float(c))
-        steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
+        if a != 0.0:
+            steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
     sched = Schedule(tuple(steps), 1)
-    cur = flow_eval(sched, np.array([anchor_x]))[0] if steps else anchor_x
-    delta = anchor_value - float(cur)
+
+    def image(x):
+        # Region r of x; region 0 is s0 x, region r >= 1 starts at bp[r - 1].
+        r = np.searchsorted(bp, x, side="right")
+        base_x = np.concatenate([[0.0], bp])[r]
+        base_y = np.concatenate([[0.0], kinks])[r]
+        return base_y + sl[r] * (x - base_x)
+
+    delta = anchor_value - float(image(anchor_x))
     if delta != 0.0:
         reach = max(abs(anchor_x), np.max(np.abs(bp)) if len(bp) else 0.0) + 1.0
-        img = [_built_image(steps, v) for v in (-reach, reach)]
+        lo, hi = image(np.array([-reach, reach])).tolist()
         # Large shifts need a proportionally larger slack, else the far kink
         # at ~2*delta/slack costs more roundoff than the shift tolerates.
         slack_used = max(slack, abs(delta) / 1e6)
-        sched = sched.then(translation_gadget(delta, slack_used, lo=min(img), hi=max(img)))
+        sched = sched.then(translation_gadget(delta, slack_used, lo=lo, hi=hi))
     return sched
 
 
@@ -282,7 +291,7 @@ def _lazy_tube_cost(values: np.ndarray, gamma: float) -> float:
     """
     pos = 0.0
     cost = 0.0
-    for v in values:
+    for v in values.tolist():
         lo, hi = v - gamma, v + gamma
         if pos < lo:
             cost += lo - pos
@@ -295,10 +304,16 @@ def _lazy_tube_cost(values: np.ndarray, gamma: float) -> float:
 
 def _tube_radius(values: np.ndarray, T: float, lo: float) -> float:
     """Bisection from [lo, max|u|] for the smallest tube radius whose lazy path
-    costs at most T; returns the upper end of the final bracket."""
+    costs at most T; returns the upper end of the final bracket.
+
+    ``lo`` must cost more than T.  The loop stops once the midpoint rounds to
+    an end of the bracket, after which the bracket could not change.
+    """
     hi = float(np.max(np.abs(values))) + 1e-12
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _lazy_tube_cost(values, mid) <= T:
             hi = mid
         else:
@@ -309,7 +324,7 @@ def _tube_radius(values: np.ndarray, T: float, lo: float) -> float:
 def _lazy_tube_path(values: np.ndarray, gamma: float) -> np.ndarray:
     pos = 0.0
     out = []
-    for v in values:
+    for v in values.tolist():
         lo, hi = v - gamma, v + gamma
         pos = min(max(pos, lo), hi)
         out.append(pos)
@@ -359,10 +374,20 @@ def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> Budget
     exactly budget-tight; general case: tube projection), compiles the
     quantized profile exactly, then translates to the anchor.
     """
+    profile = _pwc_profile(target)
+    return _budgeted(target, profile, gamma_relaxed(profile, T), T, slack)
+
+
+def _pwc_profile(target: Target1D) -> LogDerivativeProfile:
     profile = tv_log_derivative(target)
     if profile.kind != "pwc":
         raise ValueError("budgeted construction requires a piecewise-linear target")
-    res = gamma_relaxed(profile, T)
+    return profile
+
+
+def _budgeted(target: Target1D, profile: LogDerivativeProfile, res: GammaResult,
+              T: float, slack: float) -> BudgetedApproximation:
+    """``budgeted_schedule`` from the target's pwc profile and its gamma at T."""
     g = res.value
     u = profile.values
     if profile.is_monotone():
@@ -388,14 +413,15 @@ def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> Budget
 
 def rate_sweep(target: Target1D, budgets, grid: int = 2048, slack: float = 0.01):
     """Rows (T, gamma, bound, measured sup error) for a budget sweep."""
-    profile = tv_log_derivative(target)
+    profile = _pwc_profile(target)
     xs = np.linspace(0.0, 1.0, grid + 1)
     ref = np.asarray(target.fn(xs), dtype=float)
     rows = []
     for T in budgets:
-        g = gamma_relaxed(profile, float(T)).value
+        res = gamma_relaxed(profile, float(T))
+        g = res.value
         bound = float(math.expm1(g) * profile.max_slope())
-        built = budgeted_schedule(target, float(T), slack=slack)
+        built = _budgeted(target, profile, res, float(T), slack)
         out = flow_eval(built.schedule, xs[:, None])[:, 0]
         measured = float(np.max(np.abs(out - ref)))
         rows.append({"T": float(T), "gamma": g, "bound": bound, "measured": measured})

@@ -6,17 +6,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowmap import rates
 from flowmap.core import flow_eval
-from flowmap.rates import (budgeted_error_bound, budgeted_schedule,
-                           compile_heaviside_flow, compile_pwl_map,
-                           gamma_relaxed, profile_to_jumps, rate_sweep,
-                           translation_gadget, tv_log_derivative)
+from flowmap.pwl import PwlField
+from flowmap.rates import (LogDerivativeProfile, budgeted_error_bound,
+                           budgeted_schedule, compile_heaviside_flow,
+                           compile_pwl_map, gamma_relaxed, profile_to_jumps,
+                           rate_sweep, translation_gadget, tv_log_derivative)
 from flowmap.targets import PwlData, Target1D, builtin_target_1d
 
 
 def pwl_target(breaks, slopes, anchor=0.0):
     data = PwlData(np.asarray(breaks, float), np.asarray(slopes, float), anchor)
     return Target1D(fn=data, domain=(0.0, 1.0), name="pwl", pwl=data)
+
+
+def pwc_profile(breakpoints, values):
+    bp, u = np.asarray(breakpoints, float), np.asarray(values, float)
+    return LogDerivativeProfile(kind="pwc", breakpoints=bp, values=u, tv=0.0,
+                                tv_interior=0.0, pieces=len(u))
+
+
+@st.composite
+def random_pwl_targets(draw):
+    """Increasing PWL targets on [0, 1] whose ln(phi') has zero-height jumps:
+    repeated adjacent slopes and, sometimes, slope 1 at either end."""
+    pieces = draw(st.integers(1, 12))
+    widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=pieces, max_size=pieces)))
+    u = draw(st.lists(st.floats(-1.5, 1.5), min_size=pieces, max_size=pieces))
+    for j in range(1, pieces):
+        if draw(st.booleans()):
+            u[j] = u[j - 1]
+    if draw(st.booleans()):
+        u[draw(st.sampled_from([0, -1]))] = 0.0
+    breaks = np.concatenate([[0.0], np.cumsum(widths)[:-1] / np.sum(widths), [1.0]])
+    return pwl_target(breaks, np.exp(u), anchor=draw(st.sampled_from([0.0, 0.7, -1.3])))
+
+
+def _tube_radius_reference(values, T, lo):
+    """The fixed 100-step bisection on numpy scalars that ``_tube_radius`` shortens."""
+    def cost(gamma):
+        pos = cst = 0.0
+        for v in values:
+            if pos < v - gamma:
+                cst += v - gamma - pos
+                pos = v - gamma
+            elif pos > v + gamma:
+                cst += pos - (v + gamma)
+                pos = v + gamma
+        return cst + abs(pos)
+
+    hi = float(np.max(np.abs(values))) + 1e-12
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if cost(mid) <= T:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestTvLogDerivative:
@@ -88,6 +135,46 @@ class TestCompileHeaviside:
         dec = profile_to_jumps(profile)
         assert dec.cost == profile.tv
 
+    @given(random_pwl_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_kinks_match_flow_composition_and_target(self, target):
+        # Oracle: each kink is its jump's location flowed through the stages
+        # before it, one flow_scalar per stage.
+        profile = tv_log_derivative(target)
+        anchor = target.pwl.anchor
+        sched = compile_heaviside_flow(profile, anchor=anchor, slack=0.01)
+        jumps = [c for c, a in profile_to_jumps(profile).jumps if a != 0.0]
+        stages = sched.steps[:len(jumps)]
+        assert [f.label for f, _ in sched.steps[len(jumps):]] == \
+            ([] if anchor == 0.0 else ["shift_contract", "shift_expand"])
+        for j, (c, (f, _)) in enumerate(zip(jumps, stages)):
+            z = c
+            for g, tau in stages[:j]:
+                z = g.pwl.flow_scalar(z, tau)
+            (kink,) = f.pwl.kinks
+            assert abs(kink - z) <= 4 * profile.pieces * np.finfo(float).eps * abs(z)
+        xs = np.concatenate([target.pwl.breakpoints, np.linspace(0.0, 1.0, 41)])
+        out = flow_eval(sched, xs[:, None])[:, 0]
+        assert float(np.max(np.abs(out - target.fn(xs)))) <= 1e-9
+
+    def test_kinks_placed_without_flow_scalar(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("kink placement walked a flow")
+
+        monkeypatch.setattr(PwlField, "flow_scalar", no_walk)
+        compile_heaviside_flow(tv_log_derivative(builtin_target_1d("pwl4")), anchor=0.5)
+        compile_pwl_map([-1.0, 0.5], [2.0, 0.5, 3.0], 0.2, -4.0)
+
+    @pytest.mark.parametrize("breakpoints,values,defect", [
+        ([0.5], [0.1, 0.2, 0.3], "one value per interval"),
+        ([0.6, 0.3], [0.1, 0.2, 0.3], "strictly increasing"),
+        ([0.0, 0.5], [0.1, 0.2, 0.3], "inside"),
+        ([0.5, 1.2], [0.1, 0.2, 0.3], "inside"),
+    ])
+    def test_malformed_profile_rejected(self, breakpoints, values, defect):
+        with pytest.raises(ValueError, match=defect):
+            compile_heaviside_flow(pwc_profile(breakpoints, values), anchor=0.0)
+
 
 class TestTranslationGadget:
     def test_zero_delta_empty(self):
@@ -112,6 +199,22 @@ class TestCompilePwlMap:
         expect = np.array([-1.0, 0.0, 1.0, 2.0, 4.0])
         out = flow_eval(sched, xs[:, None])[:, 0]
         np.testing.assert_allclose(out, expect, atol=1e-8)
+
+    @pytest.mark.parametrize("breakpoints,slopes,anchor_x,anchor_value", [
+        ([-3.0, -1.0, 0.5, 2.0], [0.25, 4.0, 4.0, 1.5, 0.6], 0.7, -2.0),
+        ([-2.5, -0.5], [3.0, 3.0, 0.2], -4.0, 10.0),
+        ([-1.0, 1.0], [1.0, 2.0, 1.0], 1.0, 1e3),
+    ])
+    def test_matches_interpolated_map(self, breakpoints, slopes, anchor_x, anchor_value):
+        bp, sl = np.asarray(breakpoints), np.asarray(slopes)
+        sched = compile_pwl_map(bp, sl, anchor_x, anchor_value)
+        r = max(abs(anchor_x), float(np.max(np.abs(bp)))) + 1.0
+        knots = np.concatenate([[-r], bp, [r]])
+        vals = np.concatenate([[0.0], np.cumsum(sl * np.diff(knots))])
+        vals += anchor_value - np.interp(anchor_x, knots, vals)
+        xs = np.concatenate([knots, np.linspace(-r, r, 57)])
+        out = flow_eval(sched, xs[:, None])[:, 0]
+        np.testing.assert_allclose(out, np.interp(xs, knots, vals), rtol=0, atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +259,13 @@ class TestGammaRelaxed:
         lo, hi = min(t1, t2), max(t1, t2)
         assert gamma_relaxed(p, hi).value <= gamma_relaxed(p, lo).value + 1e-12
 
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30), st.floats(0.0, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_tube_radius_equals_full_bisection(self, values, frac):
+        u = np.asarray(values)
+        tv = rates._lazy_tube_cost(u, 0.0)
+        assert rates._tube_radius(u, frac * tv, 0.0) == _tube_radius_reference(u, frac * tv, 0.0)
+
 
 class TestBudgetedError:
     def test_identity_bound_zero(self):
@@ -173,6 +283,17 @@ class TestBudgetedError:
         for row in rows:
             assert row["measured"] <= row["bound"] * 1.001 + 1e-12
         assert rows[-1]["measured"] <= 1e-9
+
+    def test_sweep_rows_match_public_gamma_and_schedule(self):
+        target = pwl_target([0.0, 0.25, 0.5, 0.75, 1.0], np.exp([0.4, -0.2, 0.5, -0.1]), anchor=0.2)
+        profile = tv_log_derivative(target)
+        budgets = [0.25 * profile.tv, 0.6 * profile.tv, profile.tv]
+        xs = np.linspace(0.0, 1.0, 65)
+        rows = rate_sweep(target, budgets, grid=64)
+        for T, row in zip(budgets, rows):
+            assert row["gamma"] == gamma_relaxed(profile, T).value
+            out = flow_eval(budgeted_schedule(target, T).schedule, xs[:, None])[:, 0]
+            assert row["measured"] == float(np.max(np.abs(out - target.fn(xs))))
 
     def test_budgeted_schedule_spend_within_budget(self):
         target = builtin_target_1d("mono_tv1")
