@@ -9,23 +9,21 @@ forward-Euler bridge to discrete residual networks.
 
 from .core import (DEFAULT_CONFIG, BlowupError, FlowEvalError, IntegratorConfig,
                    JacobianRecord, Schedule, StepBudgetError, VectorField,
-                   flow_eval, jacobian_sign_check, spot_check_lipschitz,
-                   schedule_from_json, schedule_to_json)
+                   flow_eval, jacobian_sign_check, schedule_from_json,
+                   schedule_to_json)
 from .families import (AffineRestriction, OutsideSign, WellFunction,
-                       apply_restriction, block_field, block_well_1d,
-                       certify_well, field_from_terms_1d, generic_field,
+                       apply_restriction, field_from_terms_1d, generic_field,
                        negated_field, relu_field, relu_well_1d, relu_well_nd,
                        sigmoid, sigmoid_smn, sigmoid_soft_threshold,
-                       smn_well_1d, smn_well_nd, soft_threshold_well_1d)
+                       soft_threshold_well_1d)
 from .splitting import average_flow_schedule, convex_combo_schedule
 from .oned import (ApproxResult, MatchResult, NotIncreasingError,
                    PointMatchProblem, TransportError, approx_increasing,
-                   match_points, match_points_result, transport_time)
+                   match_points_result, transport_time)
 from .rates import (GammaResult, HeavisideDecomposition, LogDerivativeProfile,
-                    budgeted_error_bound, budgeted_schedule,
-                    compile_heaviside_flow, compile_pwl_map, gamma_relaxed,
-                    profile_to_jumps, rate_sweep, translation_gadget,
-                    tv_log_derivative)
+                    budgeted_schedule, compile_heaviside_flow,
+                    compile_pwl_map, gamma_relaxed, profile_to_jumps,
+                    rate_sweep, translation_gadget, tv_log_derivative)
 from .targets import (Target1D, TargetSpec, builtin_target_1d,
                       builtin_target_nd, parse_target, target_1d_from_csv,
                       target_nd_from_csv)

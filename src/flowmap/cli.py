@@ -101,15 +101,15 @@ def cmd_rate(args) -> int:
     budgets = [float(x) for x in args.budgets.split(",")]
     profile = tv_log_derivative(target)
     rows = rate_sweep(target, budgets)
+    passed = all(r["measured"] <= r["bound"] * 1.001 + 1e-12 for r in rows)
     _write_csv(out / "sweep.csv", rows, ["T", "gamma", "bound", "measured"])
     _write_json(out / "report.json", {
         "target": args.target, "tv": profile.tv, "tv_interior": profile.tv_interior,
-        "rows": rows,
-        "passed": bool(all(r["measured"] <= r["bound"] * 1.001 + 1e-12 for r in rows)),
+        "rows": rows, "passed": passed,
     })
     _write_json(out / "timing.json", {"wall_time": time.perf_counter() - t0})
     print(f"rate: {len(rows)} budget rows -> {out}")
-    return 0
+    return 0 if passed else 1
 
 
 def cmd_approxnd(args, backend: str = "frozen") -> int:

@@ -4,11 +4,11 @@ A Schedule is a finite list of (field, duration) pairs; its flow map is the
 composition of the autonomous flows of the individual fields, applied in list
 order.  Evaluation prefers exact closed forms where a field carries one
 (ReLU-built fields that read one coordinate do, and so do tensor fields of
-scalar fields that do) and otherwise falls back to adaptive RK45 or
-fixed-step RK4.  A run of consecutive steps whose scalar piecewise-linear
-flows fix every kink is an increasing piecewise-linear map per coordinate;
-it is composed exactly into breakpoints and images and evaluated with one
-interpolation, which moves results at roundoff against stepping the points.
+scalar fields that do) and otherwise falls back to adaptive RK45.  A run of
+consecutive steps whose scalar piecewise-linear flows fix every kink is an
+increasing piecewise-linear map per coordinate; it is composed exactly into
+breakpoints and images and evaluated with one interpolation, which moves
+results at roundoff against stepping the points.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "StepBudgetError",
     "flow_eval",
     "jacobian_sign_check",
-    "spot_check_lipschitz",
     "JacobianRecord",
     "schedule_to_json",
     "schedule_from_json",
@@ -58,15 +57,15 @@ class VectorField:
 
     ``eval`` must accept arrays of shape (..., dim) and return the same shape.
     ``lipschitz_bound`` is an upper bound supplied by the constructor, possibly
-    conservative; it is spot-checked by sampling, never computed symbolically.
+    conservative.
     ``exact_flow``, when present, maps (x of shape (..., dim), tau) to the
     exact endpoint of the autonomous flow and is preferred by the default
     integrator config.  ``pwl`` is the scalar ``PwlField`` whose flow the field
     applies to every coordinate (for dim 1, the field itself), and None for
     every other field; ``exact_flow`` runs through this same object.
     ``frozen_drive`` is True when the field reads none of the coordinates it
-    drives (its velocity is constant along its flow); only ``relu_field`` and
-    ``apply_restriction`` set it.
+    drives (its velocity is constant along its flow); only ``relu_field`` sets
+    it.
     """
 
     dim: int
@@ -121,22 +120,18 @@ class IntegratorConfig:
     """Numeric integration settings.
 
     method: "closed_form_if_available" uses a field's exact flow when it has
-    one and RK45 otherwise; "rk45_adaptive" always integrates numerically;
-    "rk4_fixed" uses the classic fixed-step scheme with step size ``step``.
+    one and RK45 otherwise; "rk45_adaptive" always integrates numerically.
     """
 
     method: str = "closed_form_if_available"
     tol: float = 1e-10
-    step: float = 1e-3
     max_steps: int = 200_000
 
     def __post_init__(self):
-        if self.method not in ("closed_form_if_available", "rk45_adaptive", "rk4_fixed"):
+        if self.method not in ("closed_form_if_available", "rk45_adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -173,21 +168,6 @@ def _rk45_step_field(f: VectorField, z: np.ndarray, tau: float, cfg: IntegratorC
     return sol.y[:, -1].reshape(shape)
 
 
-def _rk4_fixed_step_field(f: VectorField, z: np.ndarray, tau: float, cfg: IntegratorConfig) -> np.ndarray:
-    n = max(1, int(math.ceil(tau / cfg.step)))
-    if n > cfg.max_steps:
-        raise StepBudgetError(f"rk4_fixed needs {n} steps > max_steps={cfg.max_steps}")
-    h = tau / n
-    for _ in range(n):
-        k1 = f.eval(z)
-        k2 = f.eval(z + 0.5 * h * k1)
-        k3 = f.eval(z + 0.5 * h * k2)
-        k4 = f.eval(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_state(z)
-    return z
-
-
 def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Endpoint of the schedule's flow from x.
 
@@ -222,8 +202,6 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
             run = []
         if exact and f.exact_flow is not None:
             z = f.exact_flow(z, tau)
-        elif cfg.method == "rk4_fixed":
-            z = _rk4_fixed_step_field(f, z, tau, cfg)
         else:
             z = _rk45_step_field(f, z, tau, cfg)
         _check_state(z)
@@ -265,26 +243,6 @@ def _compiled_run(z: np.ndarray, run: list) -> None:
             _check_state(Y[[0, -1]])
         if Y is not B:
             z[..., k] = np.interp(col, B, Y)
-
-
-def spot_check_lipschitz(f: VectorField, box, samples: int = 2000,
-                         seed: int = 0, tolerance: float = 1e-9) -> dict:
-    """Sample-based check of the field's declared Lipschitz bound on a box.
-
-    Bounds are caller-supplied metadata (possibly conservative), never
-    computed symbolically; this verifies |f(x) - f(x')| <= L |x - x'| + tol
-    on random pairs and reports the worst observed ratio.
-    """
-    box = np.asarray(box, dtype=float).reshape(f.dim, 2)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(box[:, 0], box[:, 1], size=(samples, f.dim))
-    y = rng.uniform(box[:, 0], box[:, 1], size=(samples, f.dim))
-    num = np.linalg.norm(f.eval(x) - f.eval(y), axis=-1)
-    den = np.linalg.norm(x - y, axis=-1)
-    ok = num <= f.lipschitz_bound * den + tolerance
-    ratios = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return {"passed": bool(np.all(ok)), "max_ratio": float(np.max(ratios)),
-            "declared_bound": f.lipschitz_bound}
 
 
 @dataclass(frozen=True)
@@ -337,7 +295,8 @@ def field_to_json(f: VectorField) -> dict:
 def field_from_json(doc: dict) -> VectorField:
     tag = doc["family_tag"]
     if tag not in _FAMILY_REGISTRY:
-        raise ValueError(f"unknown family tag {tag!r}")
+        raise ValueError(f"unknown family tag {tag!r}; registered tags: "
+                         + ", ".join(sorted(_FAMILY_REGISTRY)))
     return _FAMILY_REGISTRY[tag](doc["params"])
 
 

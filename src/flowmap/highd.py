@@ -153,8 +153,8 @@ def build_contraction(spec: ShrinkSpec, well: WellFunction, n: Optional[int] = N
     are given a tiny positive slope beta = eps1 N / alpha and the resulting
     strictly increasing staircase is compiled exactly from its slope
     profile, so the sup gap to the ideal shrink map is exactly alpha beta / N
-    per coordinate.  The well must be ReLU-built (piece tables, slack 0);
-    others raise ValueError before any work.
+    per coordinate.  The well must be ReLU-built (piece tables); others
+    raise ValueError before any work.
     """
     well.require_piece_tables("build_contraction")
     if n is None:

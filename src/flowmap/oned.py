@@ -25,7 +25,6 @@ __all__ = [
     "NotIncreasingError",
     "TransportError",
     "transport_time",
-    "match_points",
     "match_points_result",
     "approx_increasing",
 ]
@@ -132,8 +131,8 @@ def match_points_result(p: PointMatchProblem,
 
     The squeeze parks points close to the drive well's zero interval, so the
     well's walls must grow promptly away from it; ``PointMatchProblem``
-    admits only wells with piece tables and slack 0 (the ReLU and
-    soft-threshold wells, which grow linearly).
+    admits only wells with piece tables (the ReLU and soft-threshold wells,
+    which grow linearly).
     """
     xs, ys, well0 = p.xs, p.ys, p.well
     m = p.m
@@ -200,10 +199,6 @@ def match_points_result(p: PointMatchProblem,
     if np.any(errs > p.eps):
         raise TransportError(f"match verification failed: max error {errs.max():.3g} > {p.eps:.3g}")
     return MatchResult(schedule=sched, stage_ends=tuple(stage_ends), achieved=achieved)
-
-
-def match_points(p: PointMatchProblem, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Schedule:
-    return match_points_result(p, cfg).schedule
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "translation_gadget",
     "compile_pwl_map",
     "gamma_relaxed",
-    "budgeted_error_bound",
     "budgeted_schedule",
     "rate_sweep",
 ]
@@ -347,15 +345,6 @@ def gamma_relaxed(profile: LogDerivativeProfile, T: float) -> GammaResult:
     if profile.is_unimodal():
         return GammaResult(max(0.0, 0.25 * (profile.tv - T)), True, "unimodal")
     return GammaResult(_tube_radius(profile.values, T, 0.0), False, "tube_bound")
-
-
-def budgeted_error_bound(target: Target1D, T: float,
-                         profile: Optional[LogDerivativeProfile] = None) -> float:
-    """Sup-norm error bound (exp(gamma) - 1) * sup phi' at time budget T."""
-    if profile is None:
-        profile = tv_log_derivative(target)
-    g = gamma_relaxed(profile, T).value
-    return float(math.expm1(g) * profile.max_slope())
 
 
 @dataclass(frozen=True)

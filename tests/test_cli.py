@@ -44,6 +44,15 @@ def test_rate_csv(tmp_path):
     assert all(r["measured"] <= r["bound"] * 1.001 + 1e-12 for r in rep["rows"])
 
 
+def test_rate_exits_1_when_a_row_misses_its_bound(tmp_path, monkeypatch):
+    row = {"T": 0.5, "gamma": 0.1, "bound": 0.01, "measured": 0.02}
+    monkeypatch.setattr("flowmap.cli.rate_sweep", lambda target, budgets: [row])
+    out = tmp_path / "rate"
+    rc = main(["rate", "--target", "builtin:pwl4", "--budgets", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert read_json(out / "report.json")["passed"] is False
+
+
 def test_approxnd_and_verify(tmp_path):
     out = tmp_path / "nd"
     rc = main(["approxnd", "--target", "builtin:identity", "--n", "2", "--p", "2",

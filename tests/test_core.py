@@ -90,11 +90,8 @@ class TestFlowEval:
         sched = Schedule(((f, 1.0),), 1)
         exact = flow_eval(sched, np.array([1.0]))
         rk45 = flow_eval(sched, np.array([1.0]), RK12)
-        rk4 = flow_eval(sched, np.array([1.0]),
-                        IntegratorConfig(method="rk4_fixed", step=1e-4))
         assert abs(exact[0] - math.e) < 1e-12
         assert abs(rk45[0] - math.e) < 1e-9
-        assert abs(rk4[0] - math.e) < 1e-9
 
     def test_batch_shape(self):
         f = field_from_terms_1d([(1.0, 1.0, 0.0)])
@@ -246,11 +243,11 @@ class TestJacobianSign:
         assert recs[0].positive is None
 
     def test_matched_schedule_positive_on_grid(self):
-        from flowmap.oned import PointMatchProblem, match_points
+        from flowmap.oned import PointMatchProblem, match_points_result
 
         well = relu_well_1d(-1.0, 0.0)
-        sched = match_points(PointMatchProblem(
-            np.array([0.5, 1.5, 2.5]), np.array([0.7, 1.1, 4.0]), well, 1e-6))
+        sched = match_points_result(PointMatchProblem(
+            np.array([0.5, 1.5, 2.5]), np.array([0.7, 1.1, 4.0]), well, 1e-6)).schedule
         grid = np.linspace(0.0, 3.0, 16)[:, None]
         recs = jacobian_sign_check(sched, grid, h=1e-6)
         assert all(r.positive for r in recs)
@@ -318,15 +315,15 @@ class TestInvariants:
 
 class TestLipschitzSpotCheck:
     def test_declared_bounds_hold_on_samples(self):
-        from flowmap.core import spot_check_lipschitz
-        from flowmap.families import relu_well_nd, smn_well_1d
+        from flowmap.families import relu_well_nd
 
+        rng = np.random.default_rng(0)
         for f, box in ((relu_well_nd(2).field, [[-3, 3], [-3, 3]]),
-                       (smn_well_1d(50, 5).field, [[-4, 4]]),
                        (field_from_terms_1d([(0.7, 1.3, -0.2)]), [[-2, 2]])):
-            report = spot_check_lipschitz(f, box, samples=2000)
-            assert report["passed"]
-            assert report["max_ratio"] <= report["declared_bound"] + 1e-9
+            box = np.asarray(box, dtype=float)
+            x, y = rng.uniform(box[:, 0], box[:, 1], size=(2, 2000, f.dim))
+            num = np.linalg.norm(f.eval(x) - f.eval(y), axis=-1)
+            assert np.all(num <= f.lipschitz_bound * np.linalg.norm(x - y, axis=-1) + 1e-9)
 
 
 def assert_round_trip_bit_faithful(sched):

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from flowmap.core import Schedule, flow_eval
+from flowmap.core import Schedule, VectorField, flow_eval
 from flowmap.discretize import (ResNetExport, euler_discretize, export_from_json,
                                 export_to_json, resnet_forward, truncation_slope)
-from flowmap.families import (AffineRestriction, apply_restriction, field_from_terms_1d,
-                              generic_field, relu_field, relu_well_1d, relu_well_nd,
-                              smn_well_nd)
+from flowmap.families import (field_from_terms_1d, generic_field, relu_field, relu_well_1d,
+                              relu_well_nd, sigmoid)
 from flowmap.highd import _frozen_drive, approximate_lp
-from flowmap.oned import PointMatchProblem, match_points
+from flowmap.oned import PointMatchProblem, match_points_result
 from flowmap.rates import compile_heaviside_flow, tv_log_derivative
 from flowmap.targets import builtin_target_1d, builtin_target_nd
 
@@ -53,7 +52,7 @@ class TestEulerDiscretize:
         xs = np.array([0.2, 0.5, 0.8])
         ys = np.array([0.3, 0.55, 0.9])
         eps = 0.02
-        sched = match_points(PointMatchProblem(xs, ys, well, eps))
+        sched = match_points_result(PointMatchProblem(xs, ys, well, eps)).schedule
         net = euler_discretize(sched, 1024)
         out = resnet_forward(net, xs[:, None])[:, 0]
         assert float(np.max(np.abs(out - ys))) <= 2 * eps
@@ -90,8 +89,8 @@ class TestTruncationSlope:
 class TestExport:
     def test_round_trip_bit_for_bit(self):
         well = relu_well_1d(-1.0, 0.0)
-        sched = match_points(PointMatchProblem(
-            np.array([0.5, 1.5]), np.array([0.7, 2.0]), well, 1e-6))
+        sched = match_points_result(PointMatchProblem(
+            np.array([0.5, 1.5]), np.array([0.7, 2.0]), well, 1e-6)).schedule
         net = euler_discretize(sched, 64)
         doc = json.loads(json.dumps(export_to_json(net)))
         back = export_from_json(doc)
@@ -174,11 +173,15 @@ class TestRunForward:
         np.testing.assert_array_equal(resnet_forward(net, xs), _per_layer(net, xs))
 
     def test_restricted_non_relu_frozen_drive(self):
-        smn = smn_well_nd(100, 10, 2).field
-        g = apply_restriction(smn, AffineRestriction([1.0, 0.0], np.diag([0.0, 1.0]), [0.0, -0.3]))
-        reads_itself = apply_restriction(smn, AffineRestriction([1.0, 0.0], np.eye(2), [0.0, -0.3]))
-        assert g.tag == "restricted" and g.frozen_drive
-        assert not smn.frozen_drive and not reads_itself.frozen_drive
+        # A smooth field restricted by hand to drive z0 from z1 only and
+        # declared a frozen drive: its runs must equal the per-layer loop.
+        def drive(z):
+            z = np.asarray(z, dtype=float)
+            return np.stack([sigmoid(4.0 * z[..., 1] - 0.3), np.zeros(z.shape[:-1])], axis=-1)
+
+        g = VectorField(dim=2, eval=drive, lipschitz_bound=1.0, label="smooth_drive",
+                        frozen_drive=True)
+        assert not generic_field(drive, 2, 1.0).frozen_drive
         net = euler_discretize(Schedule(((g, 0.7), (LIN2, 0.2), (g, 0.4)), 2), 64)
         out = resnet_forward(net, PTS_2D)
         np.testing.assert_array_equal(out, _per_layer(net, PTS_2D))

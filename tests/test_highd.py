@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowmap.core import flow_eval
-from flowmap.families import block_well_1d, relu_well_nd, smn_well_nd
+from flowmap.families import (OutsideSign, WellFunction, generic_field, relu_well_nd,
+                              sigmoid_smn)
 from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
                            build_contraction, build_grid_target, separate_points,
                            shrink_map_1d, transport_points)
@@ -17,6 +18,14 @@ from flowmap.tensor import tensor_transport
 from flowmap.util import collision_counts
 
 WELL2 = relu_well_nd(2)
+
+
+def smooth_well(n):
+    """Every component the coordinate mean of the smooth surrogate: no piece tables."""
+    field = generic_field(lambda z: np.broadcast_to(sigmoid_smn(100, 10, z).mean(
+        axis=-1, keepdims=True), np.shape(z)).copy(), n, 25.0, f"smooth_nd({n})")
+    return WellFunction(dim=n, field=field, zero_box=np.tile([[-1.0, 1.0]], (n, 1)),
+                        outside_sign=OutsideSign(+1, +1), label=f"smooth_nd({n})")
 
 
 class TestGridTarget:
@@ -85,7 +94,7 @@ class TestShrink:
 
         monkeypatch.setattr("flowmap.highd.compile_heaviside_flow", no_build)
         monkeypatch.setattr("flowmap.highd.tensor_field", no_build)
-        for well in (block_well_1d("relu"), smn_well_nd(100, 10, 2)):
+        for well in (smooth_well(1), smooth_well(2)):
             with pytest.raises(ValueError, match="needs a ReLU-built well.*no piece tables"):
                 build_contraction(ShrinkSpec(alpha=0.5, N=1, eps1=0.4), well)
 
@@ -221,7 +230,7 @@ class TestPipeline:
         monkeypatch.setattr("flowmap.highd.build_grid_target", no_grid)
         with pytest.raises(PipelineError, match="require a ReLU-built well"):
             approximate_lp(builtin_target_nd("flip", 2), eps=0.5, p=1,
-                           well=smn_well_nd(100, 10, 2), transport_backend=backend)
+                           well=smooth_well(2), transport_backend=backend)
 
     def test_n1_rejected(self):
         F = TargetSpec(fn=lambda x: x, n=1, m=1, domain=[[0, 1]])

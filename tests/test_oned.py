@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from flowmap.core import IntegratorConfig, Schedule, flow_eval
-from flowmap.families import negated_field, relu_well_1d, soft_threshold_well_1d
+from flowmap.families import (OutsideSign, WellFunction, generic_field, negated_field,
+                              relu_well_1d, sigmoid_smn, sigmoid_soft_threshold,
+                              soft_threshold_well_1d)
 from flowmap.oned import (NotIncreasingError, PointMatchProblem, TransportError,
-                          approx_increasing, match_points, match_points_result,
-                          transport_time)
+                          approx_increasing, match_points_result, transport_time)
 from flowmap.targets import builtin_target_1d
 
 RK12 = IntegratorConfig(method="rk45_adaptive", tol=1e-12)
@@ -23,6 +24,14 @@ def _forbid_field_builds(monkeypatch):
     # Every well translate, negation and ReLU field goes through these.
     monkeypatch.setattr("flowmap.families.apply_restriction", no_field)
     monkeypatch.setattr("flowmap.families.relu_field", no_field)
+
+
+def _generic_well(fn, zero_set, label):
+    """A scalar well over a plain callable of x: a zero set but no piece tables."""
+    field = generic_field(lambda z: np.asarray(fn(np.asarray(z, dtype=float)[..., 0]))[..., None],
+                          1, 1.0, label)
+    return WellFunction(dim=1, field=field, zero_box=np.array([zero_set]),
+                        outside_sign=OutsideSign(+1, +1), label=label)
 
 
 class TestTransportTime:
@@ -82,7 +91,7 @@ class TestMatchPoints:
     def test_five_points(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         ys = np.array([1.5, 1.6, 3.0, 4.5, 9.0])
-        sched = match_points(PointMatchProblem(xs, ys, WELL, 1e-6))
+        sched = match_points_result(PointMatchProblem(xs, ys, WELL, 1e-6)).schedule
         out = flow_eval(sched, xs[:, None])[:, 0]
         assert float(np.max(np.abs(out - ys))) <= 1e-6
 
@@ -101,7 +110,7 @@ class TestMatchPoints:
     def test_emitted_flow_is_increasing(self):
         xs = np.array([0.0, 1.0, 2.0])
         ys = np.array([0.3, 0.35, 5.0])
-        sched = match_points(PointMatchProblem(xs, ys, WELL, 1e-6))
+        sched = match_points_result(PointMatchProblem(xs, ys, WELL, 1e-6)).schedule
         grid = np.linspace(-1.0, 3.0, 512)[:, None]
         out = flow_eval(sched, grid)[:, 0]
         assert np.all(np.diff(out) > 0)
@@ -128,29 +137,32 @@ class TestApproxIncreasing:
         assert float(np.max(np.abs(out - target.fn(grid)))) <= 5e-2
 
     def test_block_wells_rejected_up_front(self, monkeypatch):
-        # Residual-block wells have no piece tables, hence no exact hitting
-        # times: point matching refuses them before building any field.
-        from flowmap.families import block_well_1d
-
+        # Residual-block-shaped wells s(a sigma(x) + b) have no piece tables,
+        # hence no exact hitting times: point matching refuses them before
+        # building any field.
+        t = math.tanh(1.0)
+        wells = (_generic_well(lambda x: sigmoid_soft_threshold(2.0 * np.maximum(x, 0.0) - 2.0),
+                               (0.5, 1.5), "block_relu"),
+                 _generic_well(lambda x: sigmoid_soft_threshold(np.tanh(x) / t), (-1.0, 1.0),
+                               "block_tanh"))
         _forbid_field_builds(monkeypatch)
-        for sigma in ("relu", "tanh"):
-            with pytest.raises(ValueError, match="no piece tables"):
-                match_points(PointMatchProblem(np.array([2.5, 3.5]), np.array([2.8, 4.2]),
-                                               block_well_1d(sigma), 1e-5))
+        for well in wells:
+            with pytest.raises(ValueError, match=f"{well.label} has no piece tables"):
+                match_points_result(PointMatchProblem(np.array([2.5, 3.5]),
+                                                      np.array([2.8, 4.2]), well, 1e-5))
 
     def test_dead_zone_well_rejected_up_front(self, monkeypatch):
         # The smoothed staircase surrogate is flat for a while beyond its
-        # zero box (slack > 0), so parked points would stall there: rejected
-        # before the partition search or any field build.
-        from flowmap.families import smn_well_1d
-
+        # zero box, so parked points would stall there; it has no piece
+        # tables: rejected before the partition search or any field build.
         def no_partition(*args, **kwargs):
             raise AssertionError("partition search started")
 
         monkeypatch.setattr("flowmap.oned._estimate_omega", no_partition)
         _forbid_field_builds(monkeypatch)
-        with pytest.raises(ValueError, match="no piece tables and slack"):
-            approx_increasing(builtin_target_1d("smooth1"), 0.2, smn_well_1d(200, 14))
+        well = _generic_well(lambda x: sigmoid_smn(200, 14, x), (-1.0, 1.0), "smn")
+        with pytest.raises(ValueError, match="smn has no piece tables"):
+            approx_increasing(builtin_target_1d("smooth1"), 0.2, well)
 
     def test_smooth_target_meets_budget(self):
         target = builtin_target_1d("smooth1")

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from flowmap import rates
 from flowmap.core import flow_eval
 from flowmap.pwl import PwlField
-from flowmap.rates import (LogDerivativeProfile, budgeted_error_bound,
-                           budgeted_schedule, compile_heaviside_flow,
-                           compile_pwl_map, gamma_relaxed, profile_to_jumps,
-                           rate_sweep, translation_gadget, tv_log_derivative)
+from flowmap.rates import (LogDerivativeProfile, budgeted_schedule,
+                           compile_heaviside_flow, compile_pwl_map, gamma_relaxed,
+                           profile_to_jumps, rate_sweep, translation_gadget,
+                           tv_log_derivative)
 from flowmap.targets import PwlData, Target1D, builtin_target_1d
 
 
@@ -269,13 +269,14 @@ class TestGammaRelaxed:
 
 class TestBudgetedError:
     def test_identity_bound_zero(self):
-        assert budgeted_error_bound(builtin_target_1d("identity"), 0.5) == 0.0
+        (row,) = rate_sweep(builtin_target_1d("identity"), [0.5])
+        assert row["bound"] == 0.0
 
     def test_closed_form_plug_in(self):
         # increasing u with tv 1, T = 0.4, sup phi' = e^{0.5}
         target = builtin_target_1d("mono_tv1")
-        bound = budgeted_error_bound(target, 0.4)
-        assert bound == pytest.approx(math.expm1(0.3) * math.exp(0.5), rel=1e-12)
+        (row,) = rate_sweep(target, [0.4])
+        assert row["bound"] == pytest.approx(math.expm1(0.3) * math.exp(0.5), rel=1e-12)
 
     def test_constructed_approximants_meet_bound(self):
         target = builtin_target_1d("mono_tv1")

@@ -33,6 +33,17 @@ RESTRICTED_TENSOR_SHEAR = {"dim": 2, "steps": [
         "regime": "tensor"}},
 ]}
 
+# Schedules with a step of each family tag that is no longer registered.
+DROPPED_TAGS = {
+    "restricted": RESTRICTED_TENSOR_SHEAR,
+    "sigmoid_smn": {"dim": 1, "steps": [
+        {"family_tag": "sigmoid_smn", "tau": 0.5, "params": {"M": 100, "N": 10, "dim": 1}}]},
+    "block": {"dim": 1, "steps": [
+        {"family_tag": "block", "tau": 0.5, "params": {
+            "V": [[1.0]], "W2": [[1.0]], "b2": [0.0], "W1": [[1.0]], "b1": [0.0],
+            "sigma": "tanh"}}]},
+}
+
 
 class TestTensorField:
     def test_zero_inner(self):
@@ -93,17 +104,12 @@ class TestShear:
         rest = [k for k in range(n) if k not in (i, j)]
         np.testing.assert_array_equal(out[rest], z[rest])
 
-    def test_restricted_tensor_steps_still_load(self):
-        # Older schedules load; with no exact flow they evaluate numerically.
-        old = schedule_from_json(RESTRICTED_TENSOR_SHEAR)
-        assert all(f.tag == "restricted" and f.exact_flow is None for f, _ in old.steps)
-        g = field_from_terms_1d([(0.5, 1.0, -0.25), (-0.375, -1.0, -0.125)])
-        parts = shear_parts(Schedule(((g, 0.75),), 1), 0, 1, 2, sign=-1.0)
-        new = parts.comove.then(parts.restore)
-        assert all(f.tag == "relu" and f.exact_flow is not None for f, _ in new.steps)
-        pts = np.stack(np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)),
-                       axis=-1).reshape(-1, 2)
-        np.testing.assert_allclose(flow_eval(old, pts), flow_eval(new, pts), rtol=0, atol=1e-9)
+    @pytest.mark.parametrize("tag", list(DROPPED_TAGS))
+    def test_dropped_tags_rejected(self, tag):
+        # Files written by earlier versions with these steps are refused by name.
+        with pytest.raises(ValueError, match=f"unknown family tag '{tag}'; "
+                                             "registered tags: relu, tensor$"):
+            schedule_from_json(DROPPED_TAGS[tag])
 
     def test_frozen_coordinates_to_1e12(self):
         gsched = translation_gadget(0.5, 0.02)
