@@ -22,10 +22,14 @@ WELL2 = relu_well_nd(2)
 
 def smooth_well(n):
     """Every component the coordinate mean of the smooth surrogate: no piece tables."""
-    field = generic_field(lambda z: np.broadcast_to(sigmoid_smn(100, 10, z).mean(
-        axis=-1, keepdims=True), np.shape(z)).copy(), n, 25.0, f"smooth_nd({n})")
-    return WellFunction(dim=n, field=field, zero_box=np.tile([[-1.0, 1.0]], (n, 1)),
-                        outside_sign=OutsideSign(+1, +1), label=f"smooth_nd({n})")
+    def evaluate(z):
+        mean = sigmoid_smn(100, 10, z).mean(axis=-1, keepdims=True)
+        return np.broadcast_to(mean, np.shape(z)).copy()
+
+    label = f"smooth_nd({n})"
+    return WellFunction(dim=n, field=generic_field(evaluate, n, 25.0, label),
+                        zero_box=np.tile([[-1.0, 1.0]], (n, 1)),
+                        outside_sign=OutsideSign(+1, +1), label=label)
 
 
 class TestGridTarget:
