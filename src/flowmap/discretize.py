@@ -4,18 +4,18 @@ Each layer applies z <- z + delta * f(z).  Layers are allocated to schedule
 steps proportionally to their durations, with per-step delta = tau / layers
 so no time is lost to rounding; the global truncation error of the resulting
 network is first order in the layer count.
-A step becomes a run of layers sharing one field object and one delta.  A
-frozen drive (``VectorField.frozen_drive``) has the same velocity at every
-layer of its run, since its driven coordinates only meet exact zeros inside
-it, so the forward pass evaluates it once per run; outputs stay bit for bit
-those of the per-layer loop on finite states.
+A network is held, and exported, as runs: each live step becomes one
+(field, layers, delta) run of identical layers.  A frozen drive
+(``VectorField.frozen_drive``) has the same velocity at every layer of its
+run, since its driven coordinates only meet exact zeros inside it, so the
+forward pass evaluates it once per run; outputs stay bit for bit those of the
+per-layer loop on finite states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -31,44 +31,43 @@ __all__ = [
     "truncation_slope",
 ]
 
-EXPORT_FORMAT_VERSION = 1
+EXPORT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ResNetExport:
-    """Discrete residual network: layer fields with per-layer step sizes."""
+    """Discrete residual network: runs of identical layers."""
 
-    fields: tuple  # one VectorField per layer
-    deltas: tuple  # matching step sizes
+    runs: tuple  # (VectorField, layers, delta) per run
     source_T: float
     dim: int
 
     def __post_init__(self):
-        if len(self.fields) != len(self.deltas):
-            raise ValueError(f"{len(self.fields)} layer fields but {len(self.deltas)} deltas")
-        for s, (f, d) in enumerate(zip(self.fields, self.deltas)):
+        for r, (f, k, d) in enumerate(self.runs):
             if f.dim != self.dim:
-                raise ValueError(f"layer {s}: field dim {f.dim} != network dim {self.dim}")
+                raise ValueError(f"run {r}: field dim {f.dim} != network dim {self.dim}")
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise ValueError(f"run {r}: layers must be an int >= 1, got {k!r}")
             if not (d >= 0.0 and math.isfinite(d)):
-                raise ValueError(f"layer {s}: delta must be finite and nonnegative, got {d}")
+                raise ValueError(f"run {r}: delta must be finite and nonnegative, got {d}")
 
     @property
     def S(self) -> int:
-        return len(self.fields)
+        return sum(k for _, k, _ in self.runs)
 
 
 def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
     """Allocate S layers across the schedule's steps, largest remainders first.
 
-    Every step with positive duration receives at least one layer; a layer
-    assigned to a step applies z <- z + (tau/n_step) f(z).
+    Every step with positive duration receives at least one layer; the k
+    layers assigned to a step form one run applying z <- z + (tau/k) f(z).
     """
     live = [(f, t) for f, t in sched.steps if t > 0.0]
     if S < max(1, len(live)):
         raise ValueError(f"S={S} is smaller than the number of schedule steps ({len(live)})")
     T = math.fsum(t for _, t in live)
     if not live:
-        return ResNetExport(fields=(), deltas=(), source_T=0.0, dim=sched.dim)
+        return ResNetExport(runs=(), source_T=0.0, dim=sched.dim)
     raw = [S * t / T for _, t in live]
     alloc = [max(1, int(math.floor(r))) for r in raw]
     while sum(alloc) > S:
@@ -84,12 +83,7 @@ def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
     while sum(alloc) < S:
         alloc[order[k % len(order)]] += 1
         k += 1
-    fields = []
-    deltas = []
-    for (f, t), k in zip(live, alloc):
-        fields.extend([f] * k)
-        deltas.extend([t / k] * k)
-    return ResNetExport(fields=tuple(fields), deltas=tuple(deltas),
+    return ResNetExport(runs=tuple((f, k, t / k) for (f, t), k in zip(live, alloc)),
                         source_T=T, dim=sched.dim)
 
 
@@ -103,41 +97,41 @@ def resnet_forward(net: ResNetExport, x) -> np.ndarray:
     z = np.asarray(x, dtype=float).copy()
     if z.shape[-1:] != (net.dim,):
         raise ValueError(f"input shape {z.shape} incompatible with dim {net.dim}")
-    for _, run in groupby(zip(net.fields, net.deltas), key=lambda fd: (id(fd[0]), fd[1])):
-        run = list(run)
-        f, d = run[0]
+    for f, k, d in net.runs:
         if f.frozen_drive:
             inc = d * f.eval(z)
-            for _ in run:
+            for _ in range(k):
                 z = z + inc
         else:
-            for _ in run:
+            for _ in range(k):
                 z = z + d * f.eval(z)
     return z
 
 
 def export_to_json(net: ResNetExport) -> dict:
+    """JSON document {format_version: 2, runs: [{family_tag, params, layers,
+    delta}], meta: {source_T, S, dim}}; each run's field is written once."""
     return {
         "format_version": EXPORT_FORMAT_VERSION,
-        "delta_list": list(net.deltas),
-        "layers": [field_to_json(f) for f in net.fields],
+        "runs": [dict(field_to_json(f), layers=k, delta=d) for f, k, d in net.runs],
         "meta": {"source_T": net.source_T, "S": net.S, "dim": net.dim},
     }
 
 
 def export_from_json(doc: dict) -> ResNetExport:
-    """Network from its JSON document; each run of equal (==) layer documents
-    shares one field, as the layers euler_discretize gives one step do."""
+    """Network from its JSON document, one field per run."""
     if doc.get("format_version") != EXPORT_FORMAT_VERSION:
-        raise ValueError(f"unsupported export format {doc.get('format_version')!r}")
-    if doc["meta"]["S"] != len(doc["layers"]):
-        raise ValueError(f"meta.S={doc['meta']['S']!r} but {len(doc['layers'])} layers")
-    fields = []
-    for layer, run in groupby(doc["layers"]):
-        fields += [field_from_json(layer)] * len(list(run))
-    return ResNetExport(fields=tuple(fields), deltas=tuple(doc["delta_list"]),
-                        source_T=float(doc["meta"]["source_T"]),
-                        dim=int(doc["meta"]["dim"]))
+        raise ValueError(f"unsupported export format {doc.get('format_version')!r}; "
+                         f"re-run `flowmap discretize` to write format {EXPORT_FORMAT_VERSION}")
+    try:
+        runs = tuple((field_from_json(r), r["layers"], r["delta"]) for r in doc["runs"])
+    except KeyError as e:
+        raise ValueError(f"export document or run lacks key {e}") from None
+    net = ResNetExport(runs=runs, source_T=float(doc["meta"]["source_T"]),
+                       dim=int(doc["meta"]["dim"]))
+    if doc["meta"]["S"] != net.S:
+        raise ValueError(f"meta.S={doc['meta']['S']!r} but the runs hold {net.S} layers")
+    return net
 
 
 def truncation_slope(sched: Schedule, S_list, probe_points=None,

@@ -1,6 +1,9 @@
 """CLI subcommands: artifacts, exit codes, determinism, config precedence."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +99,9 @@ def test_discretize_artifacts(tmp_path):
                "--layers", "4096", "--out", str(out)])
     assert rc == 0
     rep = read_json(out / "report.json")
-    assert len(read_json(out / "resnet.json")["layers"]) == 4096
+    doc = read_json(out / "resnet.json")
+    assert doc["meta"]["S"] == 4096
+    assert sum(run["layers"] for run in doc["runs"]) == 4096
 
 
 def test_verify_1d_sees_error_between_nodes(tmp_path):
@@ -141,3 +146,11 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
 def test_selftest_reports_deterministic(selftest_runs):
     assert [rc for rc, _ in selftest_runs] == [0, 0]
     assert selftest_runs[0][1] == selftest_runs[1][1]
+
+
+def test_python_m_flowmap_runs_the_cli():
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "flowmap", "--help"], cwd=repo,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: flowmap")

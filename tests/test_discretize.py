@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from flowmap.core import Schedule, VectorField, flow_eval
+from flowmap.core import Schedule, VectorField, field_to_json, flow_eval
 from flowmap.discretize import (ResNetExport, euler_discretize, export_from_json,
                                 export_to_json, resnet_forward, truncation_slope)
 from flowmap.families import (field_from_terms_1d, generic_field, relu_field, relu_well_1d,
@@ -40,7 +41,8 @@ class TestEulerDiscretize:
         sched = Schedule(((f, 0.3), (f, 0.7), (f, 0.123)), 1)
         net = euler_discretize(sched, 100)
         assert net.S == 100
-        assert math.fsum(net.deltas) == pytest.approx(sched.total_time, abs=1e-12)
+        layer_deltas = [d for _, k, d in net.runs for _ in range(k)]
+        assert math.fsum(layer_deltas) == pytest.approx(sched.total_time, abs=1e-12)
 
     def test_S_below_step_count_rejected(self):
         sched = Schedule(((LIN, 0.1), (LIN, 0.2), (LIN, 0.3)), 1)
@@ -96,24 +98,23 @@ class TestExport:
         back = export_from_json(doc)
         xs = np.linspace(-1, 3, 41)[:, None]
         np.testing.assert_array_equal(resnet_forward(net, xs), resnet_forward(back, xs))
-        # Each run of a step's layers shares one field, as in the original.
+        # One run per live step, with the original's layer counts and deltas.
         live = [f for f, t in sched.steps if t > 0.0]
-        assert len({id(f) for f in back.fields}) == len(live)
-        assert [a is b for a, b in zip(back.fields, back.fields[1:])] == \
-            [a is b for a, b in zip(net.fields, net.fields[1:])]
+        assert len(back.runs) == len(live)
+        assert [r[1:] for r in back.runs] == [r[1:] for r in net.runs]
 
     def test_schema_fields(self):
         net = euler_discretize(Schedule(((LIN, 0.5),), 1), 8)
         doc = export_to_json(net)
-        assert doc["format_version"] == 1
-        assert len(doc["delta_list"]) == len(doc["layers"]) == 8
+        assert doc["format_version"] == 2
+        assert doc["runs"] == [dict(field_to_json(LIN), layers=8, delta=0.0625)]
         assert doc["meta"]["S"] == 8 and doc["meta"]["dim"] == 1
 
     def test_unknown_version_rejected(self):
         net = euler_discretize(Schedule(((LIN, 0.5),), 1), 4)
         doc = export_to_json(net)
         doc["format_version"] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported export format 99"):
             export_from_json(doc)
 
     def test_error_monotone_in_S(self):
@@ -132,8 +133,9 @@ class TestExport:
 def _per_layer(net, x):
     """The per-layer Euler loop: the oracle for the run-based forward pass."""
     z = np.asarray(x, dtype=float).copy()
-    for f, d in zip(net.fields, net.deltas):
-        z = z + d * f.eval(z)
+    for f, k, d in net.runs:
+        for _ in range(k):
+            z = z + d * f.eval(z)
     return z
 
 
@@ -152,7 +154,7 @@ class TestRunForward:
 
     def test_frozen_backend_schedule(self):
         net = euler_discretize(_flip_2d("frozen"), 1024)
-        assert sum(f.frozen_drive for f in net.fields) > net.S // 2
+        assert sum(k for f, k, _ in net.runs if f.frozen_drive) > net.S // 2
         np.testing.assert_array_equal(resnet_forward(net, PTS_2D), _per_layer(net, PTS_2D))
 
     def test_tensor_backend_schedule(self):
@@ -190,8 +192,7 @@ class TestRunForward:
     def test_field_in_two_runs_and_at_two_deltas(self):
         f = relu_field([[1.0], [0.0]], [[0.0, 2.0]], [0.5])  # drives z0 from z1
         assert f.frozen_drive and not LIN2.frozen_drive
-        net = ResNetExport(fields=(f, f, f, LIN2, LIN2, f, f, f),
-                           deltas=(0.1, 0.1, 0.3, 0.2, 0.2, 0.1, 0.1, 0.1),
+        net = ResNetExport(runs=((f, 2, 0.1), (f, 1, 0.3), (LIN2, 2, 0.2), (f, 3, 0.1)),
                            source_T=1.2, dim=2)
         np.testing.assert_array_equal(resnet_forward(net, PTS_2D), _per_layer(net, PTS_2D))
 
@@ -205,24 +206,40 @@ class TestRunForward:
                     assert f.tag == "relu" and f.frozen_drive
 
 
+def _as_format_1(doc):
+    """The per-layer export of earlier versions, for the same one-field network."""
+    doc.pop("runs")
+    doc.update(format_version=1, delta_list=[0.125] * 8, layers=[field_to_json(LIN)] * 8)
+
+
 class TestExportValidation:
-    def test_fewer_deltas_than_layers_rejected(self):
-        doc = export_to_json(euler_discretize(Schedule(((LIN, 1.0),), 1), 8))
-        doc["delta_list"] = doc["delta_list"][:3]
-        with pytest.raises(ValueError, match="8 layer fields but 3 deltas"):
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda doc: doc["runs"][0].update(layers=0), "run 0: layers must be an int >= 1, got 0"),
+        (lambda doc: doc["runs"][1].update(layers=6.0),
+         "run 1: layers must be an int >= 1, got 6.0"),
+        (lambda doc: doc["runs"][0].pop("delta"), "lacks key 'delta'"),
+        (lambda doc: doc["meta"].update(S=2), "meta.S=2 but the runs hold 8 layers"),
+        (_as_format_1,
+         "unsupported export format 1; re-run `flowmap discretize` to write format 2"),
+    ], ids=["zero_layers", "float_layers", "no_delta", "S_counts_runs", "format_1"])
+    def test_malformed_export_rejected(self, mutate, match):
+        doc = export_to_json(euler_discretize(Schedule(((LIN, 0.25), (LIN, 0.75)), 1), 8))
+        assert [run["layers"] for run in doc["runs"]] == [2, 6]
+        mutate(doc)
+        with pytest.raises(ValueError, match=re.escape(match)):
             export_from_json(doc)
 
     def test_field_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="layer 1: field dim 1 != network dim 2"):
-            ResNetExport(fields=(LIN2, LIN), deltas=(0.1, 0.1), source_T=0.2, dim=2)
+        with pytest.raises(ValueError, match="run 1: field dim 1 != network dim 2"):
+            ResNetExport(runs=((LIN2, 1, 0.1), (LIN, 1, 0.1)), source_T=0.2, dim=2)
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_bad_delta_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"layer 1: delta .* got {bad}"):
-            ResNetExport(fields=(LIN, LIN), deltas=(0.1, bad), source_T=0.2, dim=1)
+        with pytest.raises(ValueError, match=f"run 1: delta .* got {bad}"):
+            ResNetExport(runs=((LIN, 1, 0.1), (LIN, 1, bad)), source_T=0.2, dim=1)
 
     def test_meta_S_must_match_layer_count(self):
         doc = export_to_json(euler_discretize(Schedule(((LIN, 1.0),), 1), 8))
         doc["meta"]["S"] = 3
-        with pytest.raises(ValueError, match="meta.S=3 but 8 layers"):
+        with pytest.raises(ValueError, match="meta.S=3 but the runs hold 8 layers"):
             export_from_json(doc)

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from flowmap.core import IntegratorConfig, Schedule, flow_eval
+from flowmap.core import Schedule, flow_eval
 from flowmap.families import (OutsideSign, WellFunction, generic_field, negated_field,
                               relu_well_1d, sigmoid_smn, sigmoid_soft_threshold,
                               soft_threshold_well_1d)
 from flowmap.oned import (NotIncreasingError, PointMatchProblem, TransportError,
                           approx_increasing, match_points_result, transport_time)
 from flowmap.targets import builtin_target_1d
+from helpers import RK12
 
-RK12 = IntegratorConfig(method="rk45_adaptive", tol=1e-12)
 WELL = relu_well_1d(-1.0, 0.0)
 
 

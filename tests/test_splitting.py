@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flowmap.core import IntegratorConfig, Schedule, flow_eval
+from flowmap.core import Schedule, flow_eval
 from flowmap.families import field_from_terms_1d
 from flowmap.splitting import average_flow_schedule, convex_combo_schedule
-
-RK12 = IntegratorConfig(method="rk45_adaptive", tol=1e-12)
+from helpers import RK12
 
 LIN = field_from_terms_1d([(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)], label="z")
 ONE = field_from_terms_1d([(1.0, 0.0, 1.0)], label="1")
