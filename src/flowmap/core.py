@@ -6,9 +6,12 @@ order.  Evaluation prefers exact closed forms where a field carries one
 (ReLU-built fields that read one coordinate do, and so do tensor fields of
 scalar fields that do) and otherwise falls back to adaptive RK45.  A run of
 consecutive steps whose scalar piecewise-linear flows fix every kink is an
-increasing piecewise-linear map per coordinate; it is composed exactly into
-breakpoints and images and evaluated with one interpolation, which moves
-results at roundoff against stepping the points.
+increasing piecewise-linear map per coordinate, and a run of commuting
+frozen drives (each moves one coordinate at a velocity read from another
+that no step of the run moves) adds one piecewise-linear function of the
+read coordinate to each driven one.  Each run is composed exactly into
+breakpoints and values and evaluated with one interpolation per column,
+which moves results at roundoff against stepping the points.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class VectorField:
     every other field; ``exact_flow`` runs through this same object.
     ``frozen_drive`` is True when the field reads none of the coordinates it
     drives (its velocity is constant along its flow); only ``relu_field`` sets
-    it.
+    it.  ``drive`` is (i, j, g) when the field drives the single coordinate i
+    at velocity g(z_j) read from one other coordinate j, with g a scalar
+    ``PwlField``; ``exact_flow`` then runs through this same g.
     """
 
     dim: int
@@ -77,6 +82,7 @@ class VectorField:
     exact_flow: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     pwl: Optional[object] = None
     frozen_drive: bool = False
+    drive: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -175,11 +181,15 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     has the same shape, and an empty batch is returned as it is.
     Deterministic for a fixed config.
 
-    Under ``closed_form_if_available``, each maximal run of consecutive live
-    steps whose ``pwl`` fixes every kink is composed exactly into one
-    increasing piecewise-linear map per coordinate and evaluated by
-    interpolation, which moves results at roundoff against stepping every
-    point through every step.  Every other step runs as its own step.
+    Under ``closed_form_if_available``, two kinds of run of consecutive live
+    steps are composed exactly and evaluated by interpolation, which moves
+    results at roundoff against stepping every point through every step:
+    each maximal run of steps whose ``pwl`` fixes every kink becomes one
+    increasing piecewise-linear map per coordinate, and each maximal run of
+    single-pair frozen drives (``VectorField.drive``) in which no step reads
+    a coordinate that another drives becomes one piecewise-linear increment
+    z_i += G_ij(z_j) per (driven, read) pair.  Every other step runs as its
+    own step.  The guard holds after every step, run steps included.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (sched.dim,):
@@ -190,24 +200,85 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     if z.size == 0:
         return z
     exact = cfg.method == "closed_form_if_available"
-    run: list = []
+    kind, run = None, []  # the pending run's evaluator and its (table, tau) steps
     for f, tau in sched.steps:
         if tau == 0.0:
             continue
-        if exact and f.exact_flow is not None and f.pwl is not None and f.pwl.fixes_kinks:
+        step_kind = _run_kind(f) if exact else None
+        if step_kind is not kind or (kind is _drive_run and not _commutes(f.drive, run)):
+            if run:
+                kind(z, run)
+                _check_state(z)
+            kind, run = step_kind, []
+        if kind is _drive_run:
+            run.append((f.drive, tau))
+        elif kind is _compiled_run:
             run.append((f.pwl, tau))
-            continue
-        if run:
-            _compiled_run(z, run)
-            run = []
-        if exact and f.exact_flow is not None:
-            z = f.exact_flow(z, tau)
         else:
-            z = _rk45_step_field(f, z, tau, cfg)
-        _check_state(z)
+            if exact and f.exact_flow is not None:
+                z = f.exact_flow(z, tau)
+            else:
+                z = _rk45_step_field(f, z, tau, cfg)
+            _check_state(z)
     if run:
-        _compiled_run(z, run)
+        kind(z, run)
+        _check_state(z)
     return z
+
+
+def _run_kind(f: VectorField):
+    """The run evaluator that takes f's exact flow, or None for a step of its own."""
+    if f.drive is not None:
+        return _drive_run
+    if f.exact_flow is not None and f.pwl is not None and f.pwl.fixes_kinks:
+        return _compiled_run
+    return None
+
+
+def _commutes(drive: tuple, run: list) -> bool:
+    """True when the drive reads no coordinate the run drives and drives none it reads."""
+    i, j, _ = drive
+    return all(j != i2 and i != j2 for (i2, j2, _), _ in run)
+
+
+def _drive_run(z: np.ndarray, run: list) -> None:
+    """Apply a run of commuting single-pair frozen drives ((i, j, g), tau) to z in place.
+
+    No step reads a coordinate that the run drives, so every column read
+    stays fixed, and the steps on one (driven i, read j) pair compose into
+    z_i += G(z_j) with G = sum_k tau_k g_k, a scalar piecewise-linear map.
+    Its breakpoints B on column j's hull are the hull's ends and the steps'
+    kinks inside it; the partial sums S_k(B) are taken step by step and
+    S_L is interpolated, which moves results at roundoff against stepping.
+    A partial sum takes its extremes at B, so max |z_i| plus the peaks of
+    its pairs' partial sums bound every intermediate state; only a step
+    where that bound crosses the guard has its exact partial state checked.
+    """
+    pairs: dict = {}
+    for (i, j, g), tau in run:
+        pairs.setdefault((i, j), []).append((g, tau))
+    tables = {}
+    for (i, j), steps in pairs.items():
+        col = z[..., j]
+        lo, hi = col.min(), col.max()
+        kinks = np.concatenate([g.kinks for g, _ in steps])
+        B = np.unique(np.concatenate(([lo, hi], kinks[(kinks > lo) & (kinks < hi)])))
+        S = np.cumsum([tau * g(B) for g, tau in steps], axis=0)
+        tables[i, j] = (B, S, np.abs(S).max(axis=1))
+
+    def increment(i, j, k):
+        B, S, _ = tables[i, j]
+        return np.interp(z[..., j], B, S[k])
+
+    base = {i: np.max(np.abs(z[..., i])) for i, _ in pairs}
+    done = dict.fromkeys(pairs, -1)
+    for (i, j, _), _ in run:
+        done[i, j] += 1
+        mine = [(i2, j2) for i2, j2 in pairs if i2 == i and done[i2, j2] >= 0]
+        if base[i] + sum(tables[key][2][done[key]] for key in mine) > BLOWUP_LIMIT:
+            _check_state(z[..., i] + sum(increment(*key, done[key]) for key in mine))
+    for i, j in pairs:
+        z[..., i] += increment(i, j, -1)
 
 
 def _compiled_run(z: np.ndarray, run: list) -> None:

@@ -48,8 +48,9 @@ class ResNetExport:
                 raise ValueError(f"run {r}: field dim {f.dim} != network dim {self.dim}")
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"run {r}: layers must be an int >= 1, got {k!r}")
-            if not (d >= 0.0 and math.isfinite(d)):
-                raise ValueError(f"run {r}: delta must be finite and nonnegative, got {d}")
+            if (isinstance(d, bool) or not isinstance(d, (int, float))
+                    or not (d >= 0.0 and math.isfinite(d))):
+                raise ValueError(f"run {r}: delta must be a finite nonnegative number, got {d!r}")
 
     @property
     def S(self) -> int:

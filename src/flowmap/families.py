@@ -61,7 +61,9 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     single coordinate get an exact closed-form flow attached when they drive
     one other coordinate, or that coordinate itself and rows proportional to
     it (see ``_relu_exact_flow``).  ``frozen_drive`` is set when V's nonzero
-    rows and W's nonzero columns are disjoint.
+    rows and W's nonzero columns are disjoint; ``drive`` = (i, j, g) when
+    they are one row i and one other column j, g being the scalar
+    ``PwlField`` of the velocity read from z_j.
     """
     V = _as_matrix(V, name="V")
     n, q = V.shape
@@ -79,21 +81,35 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     pwl = PwlField(np.concatenate((V.T, W, b[:, None]), axis=1)) if n == 1 else None
     rows = [i for i, row in enumerate(V.tolist()) if any(row)]
     cols = [j for j, col in enumerate(zip(*W.tolist())) if any(col)]
-    exact = _relu_exact_flow(V, W, b, pwl, rows, cols)
+    drive = None
+    if len(rows) == 1 and len(cols) == 1 and rows != cols:
+        (i,), (j,) = rows, cols
+        drive = (i, j, PwlField(np.column_stack([V[i, :], W[:, j], b])))
+    exact = _relu_exact_flow(V, W, b, pwl, rows, cols, drive)
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
                        tag="relu", params=params, exact_flow=exact, pwl=pwl,
-                       frozen_drive=set(rows).isdisjoint(cols))
+                       frozen_drive=set(rows).isdisjoint(cols), drive=drive)
 
 
 def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField],
-                     rows: list, cols: list):
+                     rows: list, cols: list, drive: Optional[tuple]):
     """Exact flow where the sparsity pattern has one; reuses a scalar field's pwl.
 
-    ``rows``/``cols`` are the driven/read coordinates.  When a single
+    ``rows``/``cols`` are the driven/read coordinates.  A single-pair drive
+    (i, j, g) moves z_i by tau * g(z_j), since z_j is frozen.  When a single
     coordinate j is read and drives itself, z_j flows by the scalar kernel;
     every other driven row must then be an exact multiple c_r of row j, and
     moves by c_r times z_j's change (the co-moving shear stage).
     """
+    if drive is not None:
+        i, j, g = drive
+
+        def flow_frozen(z, tau, i=i, j=j, g=g):
+            z = np.asarray(z, dtype=float).copy()
+            z[..., i] += tau * g(z[..., j])
+            return z
+
+        return flow_frozen
     if len(rows) == 0:
         return lambda z, tau: np.asarray(z, dtype=float).copy()
     if len(cols) == 0:
@@ -116,17 +132,6 @@ def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[
         c = V[others, k] / V[j, k]
         if not np.array_equal(c[:, None] * V[j, :], V[others, :]):
             return None
-    elif rows[0] != j:
-        i = rows[0]
-
-        def flow_frozen(z, tau, V=V, W=W, b=b, i=i):
-            # Driving coordinate i from frozen coordinate j: velocity constant.
-            z = np.asarray(z, dtype=float).copy()
-            vel = np.maximum(z @ W.T + b, 0.0) @ V[i, :]
-            z[..., i] = z[..., i] + tau * vel
-            return z
-
-        return flow_frozen
     if pwl is None:
         pwl = PwlField(np.column_stack([V[j, :], W[:, j], b]))
 

@@ -75,20 +75,30 @@ class MeasureResult:
         return self.value
 
 
+# Monte-Carlo samples are split into this many chunks whatever the worker
+# count, so each chunk's compiled runs see the same hull on every pool size.
+MC_CHUNKS = 4
+
+
 def worker_count() -> int:
+    """Worker threads from FLOWMAP_THREADS (default 1); anything but an int >= 1 raises."""
     raw = os.environ.get("FLOWMAP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"FLOWMAP_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> MeasureResult:
     """Monte-Carlo estimate of the L^p(K) distance between two maps on a box.
 
-    The sample set is fixed by the seed and split into chunks whose partial
-    sums are combined in a fixed order, so the result is byte-identical for a
-    given (seed, samples) regardless of the worker count (FLOWMAP_THREADS).
+    The sample set is fixed by the seed and split into ``MC_CHUNKS`` chunks
+    whose partial sums are combined in a fixed order; the worker count
+    (FLOWMAP_THREADS) only sets how many chunks run at once, so the result is
+    byte-identical for a given (seed, samples) on any pool size.
     """
     domain = np.asarray(domain, dtype=float)
     n = domain.shape[0]
@@ -96,7 +106,7 @@ def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> 
     pts = rng.uniform(domain[:, 0], domain[:, 1], size=(samples, n))
     vol = float(np.prod(domain[:, 1] - domain[:, 0]))
     workers = worker_count()
-    chunks = np.array_split(pts, max(1, min(64, workers * 4)))
+    chunks = np.array_split(pts, MC_CHUNKS)
 
     def moment(chunk):
         gap = np.asarray(f_approx(chunk), dtype=float) - np.asarray(f_true(chunk), dtype=float)
