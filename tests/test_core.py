@@ -12,7 +12,7 @@ from flowmap.core import (BlowupError, IntegratorConfig, Schedule,
                           schedule_from_json, schedule_to_json)
 from flowmap.families import (AffineRestriction, apply_restriction,
                               field_from_terms_1d, generic_field, negated_field,
-                              relu_well_1d, soft_threshold_well_1d)
+                              relu_field, relu_well_1d, soft_threshold_well_1d)
 from flowmap.tensor import _doubling_schedule, shear_schedule, tensor_field
 from helpers import RK12, biases, term_lists
 
@@ -194,6 +194,96 @@ class TestCompiledRuns:
         assert sched.steps[0][0].pwl.fixes_kinks and sched.steps[1][0].pwl.fixes_kinks
         with pytest.raises(BlowupError, match="exceeded guard"):
             flow_eval(sched, np.array([[0.5], [1.0]]))
+
+
+def pair_drive(n, i, j, terms):
+    """ReLU field driving coordinate i at velocity sum_k v_k relu(w_k z_j + b_k)."""
+    terms = np.atleast_2d(np.asarray(terms, dtype=float))
+    V = np.zeros((n, len(terms)))
+    V[i] = terms[:, 0]
+    W = np.zeros((len(terms), n))
+    W[:, j] = terms[:, 1]
+    return relu_field(V, W, terms[:, 2])
+
+
+@st.composite
+def frozen_drive_runs(draw):
+    """An n-dim schedule (n = 2..4) of single-pair frozen drives on random
+    (driven, read) pairs, some of zero duration, interleaved with kink-fixing
+    tensor steps.  Consecutive drives share a pair, add a pair, or break the
+    run by reading a driven coordinate."""
+    n = draw(st.integers(2, 4))
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            steps += [(tensor_field(f, n), t) for f, t in draw(kink_fixing_steps())]
+            continue
+        i, j = draw(st.permutations(range(n)))[:2]
+        tau = draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0))
+        steps.append((pair_drive(n, i, j, draw(term_lists)), tau))
+    return Schedule(tuple(steps), n)
+
+
+class TestFrozenDriveRuns:
+    """Runs of commuting single-pair frozen drives add one PWL increment per pair."""
+
+    @given(frozen_drive_runs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stepwise_and_rk45(self, sched, data):
+        m = data.draw(st.integers(1, 12))
+        flat = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m * sched.dim,
+                                  max_size=m * sched.dim))
+        x = np.array(flat).reshape(m, sched.dim)
+        out = flow_eval(sched, x)
+        steps = stepwise(sched, x)
+        assert np.all(np.abs(out - steps) <= 1e-12 * np.maximum(1.0, np.abs(steps)))
+        rk = flow_eval(sched, x, RK12)
+        assert np.all(np.abs(out - rk) <= 5e-9 * np.maximum(1.0, np.abs(rk)))
+
+    def test_run_breaks_where_a_step_reads_a_driven_coordinate(self):
+        # z0 += g(z1), then z1 += g(z0) reads the new z0, then z0 += g(z1)
+        # reads the new z1; composing all three over the input would not.
+        g = [(1.0, 1.0, 0.0), (-0.5, -1.0, 0.25)]
+        sched = Schedule(((pair_drive(3, 0, 1, g), 0.5), (pair_drive(3, 2, 1, g), 0.3),
+                          (pair_drive(3, 1, 0, g), 0.7), (pair_drive(3, 0, 1, g), 0.4),
+                          (pair_drive(3, 0, 2, g), 0.2)), 3)
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 3))
+        np.testing.assert_allclose(flow_eval(sched, x), stepwise(sched, x), rtol=1e-13,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_and_one_point_batches(self, dim):
+        g = [(1.0, 1.0, -0.5), (-2.0, 1.0, 0.5)]
+        sched = Schedule(((pair_drive(dim, 0, 1, g), 0.7), (pair_drive(dim, 0, 1, g), 0.0),
+                          (pair_drive(dim, dim - 1, 1, g), 1.1)), dim)
+        empty = flow_eval(sched, np.empty((0, dim)))
+        assert empty.shape == (0, dim)
+        for x in (np.array([2.0, -0.25, 0.1][:dim]), np.array([[2.0, -0.25, 0.1][:dim]])):
+            out = flow_eval(sched, x)
+            assert out.shape == x.shape
+            np.testing.assert_allclose(out, stepwise(sched, x), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("down", [(0, 1), (0, 2)], ids=["same_pair", "second_pair"])
+    def test_guard_sees_every_step_of_a_run(self, down):
+        # The first step carries z0 past the guard and the second brings it
+        # back; only a check of the partial state after each step sees it.
+        up = pair_drive(3, 0, 1, [(1.0, 1.0, 0.0)])
+        back = pair_drive(3, *down, [(-1.0, 1.0, 0.0)])
+        sched = Schedule(((up, 2e12), (back, 2e12)), 3)
+        x = np.array([[0.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
+        assert np.max(np.abs(stepwise(sched, x))) <= 1.0
+        with pytest.raises(BlowupError, match="exceeded guard"):
+            flow_eval(sched, x)
+
+    def test_guard_bound_crossing_alone_does_not_raise(self):
+        # Pair (0, 1) adds 0.9e12 twice and pair (0, 2) takes 0.9e12 away in
+        # between: the peaks sum to 2.7e12, but no partial state passes 0.9e12.
+        step = [(0.9e12, 1.0, 0.0)]
+        sched = Schedule(((pair_drive(3, 0, 1, step), 1.0),
+                          (pair_drive(3, 0, 2, [(-0.9e12, 1.0, 0.0)]), 1.0),
+                          (pair_drive(3, 0, 1, step), 1.0)), 3)
+        out = flow_eval(sched, np.array([[0.0, 1.0, 1.0]]))
+        assert out[0, 0] == pytest.approx(0.9e12, rel=1e-15)
 
 
 class TestExactReluFlow:

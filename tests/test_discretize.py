@@ -218,10 +218,13 @@ class TestExportValidation:
         (lambda doc: doc["runs"][1].update(layers=6.0),
          "run 1: layers must be an int >= 1, got 6.0"),
         (lambda doc: doc["runs"][0].pop("delta"), "lacks key 'delta'"),
+        (lambda doc: doc["runs"][0].update(delta="0.125"),
+         "run 0: delta must be a finite nonnegative number, got '0.125'"),
         (lambda doc: doc["meta"].update(S=2), "meta.S=2 but the runs hold 8 layers"),
         (_as_format_1,
          "unsupported export format 1; re-run `flowmap discretize` to write format 2"),
-    ], ids=["zero_layers", "float_layers", "no_delta", "S_counts_runs", "format_1"])
+    ], ids=["zero_layers", "float_layers", "no_delta", "string_delta", "S_counts_runs",
+            "format_1"])
     def test_malformed_export_rejected(self, mutate, match):
         doc = export_to_json(euler_discretize(Schedule(((LIN, 0.25), (LIN, 0.75)), 1), 8))
         assert [run["layers"] for run in doc["runs"]] == [2, 6]
@@ -233,9 +236,9 @@ class TestExportValidation:
         with pytest.raises(ValueError, match="run 1: field dim 1 != network dim 2"):
             ResNetExport(runs=((LIN2, 1, 0.1), (LIN, 1, 0.1)), source_T=0.2, dim=2)
 
-    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, "0.125", None, True, False])
     def test_bad_delta_rejected(self, bad):
-        with pytest.raises(ValueError, match=f"run 1: delta .* got {bad}"):
+        with pytest.raises(ValueError, match=f"run 1: delta .* got {re.escape(repr(bad))}"):
             ResNetExport(runs=((LIN, 1, 0.1), (LIN, 1, bad)), source_T=0.2, dim=1)
 
     def test_meta_S_must_match_layer_count(self):

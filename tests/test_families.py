@@ -54,8 +54,9 @@ class TestReluField:
         with pytest.raises(ValueError):
             fam.relu_field(np.zeros((2, 3)), np.ones((3, 2)), np.ones(4))
 
-    # A row or a column (n == 1 or q == 1) takes the Euclidean norm in closed
-    # form; a true matrix (n, q >= 2) takes the SVD.
+    # Nonzero entries in one row or one column (n == 1, q == 1, or zeros
+    # drawn elsewhere) take the Euclidean norm in closed form; other
+    # matrices take the SVD.
     @given(st.sampled_from([(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (2, 2), (3, 2)]),
            st.data())
     @settings(max_examples=60, deadline=None)
@@ -86,10 +87,22 @@ class TestReluField:
         f = fam.relu_field(V, W, b)
         driven, read = np.any(V != 0.0, axis=1), np.any(W != 0.0, axis=0)
         assert f.frozen_drive == (not np.any(driven & read))
+        # A single-pair drive, one driven row i and one other read column j,
+        # records (i, j, g) with g the velocity's scalar terms.
+        rows, cols = np.flatnonzero(driven), np.flatnonzero(read)
+        pair = len(rows) == 1 and len(cols) == 1 and rows[0] != cols[0]
+        assert (f.drive is not None) == pair
+        if pair:
+            i, j, g = f.drive
+            assert (i, j) == (rows[0], cols[0])
+            np.testing.assert_array_equal(g.terms, np.column_stack([V[i], W[:, j], b]))
         if f.frozen_drive:
             z = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
             s = data.draw(st.floats(0.0, 10.0))
             np.testing.assert_array_equal(f.eval(z + s * f.eval(z)), f.eval(z))
+            if pair:
+                np.testing.assert_allclose(f.exact_flow(z, s), z + s * f.eval(z),
+                                           rtol=1e-12, atol=1e-9)
 
 
 class TestSigmoidThreshold:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from flowmap.util import collision_counts, mc_lp_error, rank_spread, sup_probe_points
+from flowmap.core import flow_eval
+from flowmap.families import relu_well_nd
+from flowmap.highd import approximate_lp
+from flowmap.targets import builtin_target_nd
+from flowmap.util import (collision_counts, mc_lp_error, rank_spread, sup_probe_points,
+                          worker_count)
 
 BOX = [[0.0, 1.0], [0.0, 1.0]]
 
@@ -40,6 +45,37 @@ def test_mc_independent_of_worker_count(monkeypatch):
     threaded = run()
     assert base.value == threaded.value
     assert base.stderr == threaded.stderr
+
+
+def test_mc_of_a_built_schedule_independent_of_worker_count(monkeypatch):
+    # Compiled runs take their breakpoints from each chunk's hull, so the
+    # value is the same on every pool size only if the chunks are.
+    F = builtin_target_nd("flip", 2)
+    sched, _ = approximate_lp(F, eps=0.5, p=1.0, well=relu_well_nd(2), grid_N=4, seed=1,
+                              mc_samples=1000)
+    results = []
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("FLOWMAP_THREADS", workers)
+        results.append(mc_lp_error(lambda x: flow_eval(sched, x), F.fn, F.domain, 1.0,
+                                   20_000, seed=2))
+    assert len({(r.value, r.stderr) for r in results}) == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+def test_bad_worker_count_rejected(monkeypatch, raw):
+    monkeypatch.setenv("FLOWMAP_THREADS", raw)
+    with pytest.raises(ValueError, match=f"FLOWMAP_THREADS must be an integer >= 1, got '{raw}'"):
+        worker_count()
+    # mc_lp_error reads the count before it starts any worker.
+    with pytest.raises(ValueError, match="FLOWMAP_THREADS"):
+        mc_lp_error(lambda x: x, lambda x: x, BOX, 1.0, 10, seed=0)
+
+
+def test_worker_count_reads_the_variable(monkeypatch):
+    monkeypatch.delenv("FLOWMAP_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("FLOWMAP_THREADS", "3")
+    assert worker_count() == 3
 
 
 def test_mc_zero_distance():
