@@ -48,8 +48,11 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
 
 
 def _op_norm(M: np.ndarray) -> float:
-    """Operator 2-norm; when the nonzero entries share one row or one column
-    (a drive's V and W), it is their Euclidean norm, with no SVD."""
+    """Operator 2-norm; for a row or a column, or when the nonzero entries
+    share one row or one column (a drive's V and W), it is their Euclidean
+    norm, with no SVD."""
+    if min(M.shape) == 1:
+        return math.hypot(*M.ravel().tolist())
     r, c = np.nonzero(M)
     if not len(r) or (r == r[0]).all() or (c == c[0]).all():
         return math.hypot(*M[r, c].tolist())
