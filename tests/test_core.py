@@ -241,8 +241,10 @@ class TestFrozenDriveRuns:
         assert np.all(np.abs(out - rk) <= 5e-9 * np.maximum(1.0, np.abs(rk)))
 
     def test_run_breaks_where_a_step_reads_a_driven_coordinate(self):
-        # z0 += g(z1), then z1 += g(z0) reads the new z0, then z0 += g(z1)
-        # reads the new z1; composing all three over the input would not.
+        # z0 and z2 += g(z1) form one run; z1 += g(z0) reads the new z0 and
+        # makes a second; z0 += g(z1) reads the new z1 and starts a third,
+        # which z0 += g(z2) joins.  One increment over the input would miss
+        # every read of an updated coordinate.
         g = [(1.0, 1.0, 0.0), (-0.5, -1.0, 0.25)]
         sched = Schedule(((pair_drive(3, 0, 1, g), 0.5), (pair_drive(3, 2, 1, g), 0.3),
                           (pair_drive(3, 1, 0, g), 0.7), (pair_drive(3, 0, 1, g), 0.4),
