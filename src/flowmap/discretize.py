@@ -5,11 +5,17 @@ steps proportionally to their durations, with per-step delta = tau / layers
 so no time is lost to rounding; the global truncation error of the resulting
 network is first order in the layer count.
 A network is held, and exported, as runs: each live step becomes one
-(field, layers, delta) run of identical layers.  A frozen drive
-(``VectorField.frozen_drive``) has the same velocity at every layer of its
-run, since its driven coordinates only meet exact zeros inside it, so the
-forward pass evaluates it once per run; outputs stay bit for bit those of the
-per-layer loop on finite states.
+(field, layers, delta) run of identical layers.  The forward pass applies a
+run in one step where its composite map has a closed form.  A frozen drive
+(``VectorField.frozen_drive``) has the same velocity at every layer, so k
+layers add k times one layer's increment.  A field whose ``pwl`` fixes its
+kinks (1D ReLU fields, tensor fields) maps each piece affinely per layer, so
+k layers multiply a point's offset from its piece's equilibrium by
+(1 + delta a)^k, taken as exp(k log1p(delta a)).  Every other run, and a
+kink-fixing run whose step would overshoot a kink, keeps the per-layer loop.
+On the benchmark's two Euler sources at 4096 layers the closed forms move
+outputs by at most 5e-14 (1D) and 5e-11 (2D) against that loop, and are no
+less accurate than it against an extended-precision per-layer loop.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, IntegratorConfig, Schedule, field_from_json,
+from .core import (DEFAULT_CONFIG, IntegratorConfig, Schedule, _check_state, field_from_json,
                    field_to_json, flow_eval)
 
 __all__ = [
@@ -63,8 +69,10 @@ def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
     Every step with positive duration receives at least one layer; the k
     layers assigned to a step form one run applying z <- z + (tau/k) f(z).
     """
+    if not isinstance(S, int) or isinstance(S, bool) or S < 1:
+        raise ValueError(f"S must be an int >= 1, got {S!r}")
     live = [(f, t) for f, t in sched.steps if t > 0.0]
-    if S < max(1, len(live)):
+    if S < len(live):
         raise ValueError(f"S={S} is smaller than the number of schedule steps ({len(live)})")
     T = math.fsum(t for _, t in live)
     if not live:
@@ -91,21 +99,34 @@ def euler_discretize(sched: Schedule, S: int) -> ResNetExport:
 def resnet_forward(net: ResNetExport, x) -> np.ndarray:
     """Forward pass z_{s+1} = z_s + delta_s f(z_s); batch-aware.
 
-    A frozen-drive run adds its first layer's delta * f(z) once per layer (not
-    k times it at once, which would round differently); other runs evaluate
-    every layer.  Equal bit for bit to the per-layer loop on finite states.
+    A run of k layers is applied in one step where its composite map has a
+    closed form: a frozen drive adds k * (delta * f(z)), and a field whose
+    ``pwl`` fixes its kinks maps each point by ``PwlField.euler_steps``.
+    Every other run, and a kink-fixing run in which a step would overshoot
+    a kink, evaluates its layers one at a time.  The closed forms move
+    outputs at roundoff against the per-layer loop.  Non-finite inputs
+    raise ValueError, and the guard of ``flow_eval`` (BlowupError) holds
+    after every run.
     """
     z = np.asarray(x, dtype=float).copy()
     if z.shape[-1:] != (net.dim,):
         raise ValueError(f"input shape {z.shape} incompatible with dim {net.dim}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("initial point must be finite")
+    if z.size == 0:
+        return z
     for f, k, d in net.runs:
+        out = None
         if f.frozen_drive:
-            inc = d * f.eval(z)
+            out = z + k * (d * f.eval(z))
+        elif f.pwl is not None and f.pwl.fixes_kinks:
+            out = f.pwl.euler_steps(z, d, k)
+        if out is None:
+            out = z
             for _ in range(k):
-                z = z + inc
-        else:
-            for _ in range(k):
-                z = z + d * f.eval(z)
+                out = out + d * f.eval(out)
+        z = out
+        _check_state(z)
     return z
 
 

@@ -223,14 +223,44 @@ class PwlField:
             z = end
         return t
 
+    def euler_steps(self, x, delta: float, k: int):
+        """k forward-Euler steps z <- z + delta f(z) from x in closed form, or
+        None when a step would overshoot a kink.
+
+        Needs ``fixes_kinks``.  A point's step maps its piece affinely with
+        factor m = 1 + delta a; while m > 0 the point never leaves its piece,
+        so k steps give z_eq + (z - z_eq) exp(k log1p(delta a)), or
+        z + (k delta) c on a constant piece.  Points at zero velocity stay,
+        as in ``flow``.  When some moving point's piece has m <= 0, the steps
+        would cross its kink and None is returned.
+        """
+        if not self.fixes_kinks:
+            raise ValueError("euler_steps needs a field that fixes its kinks")
+        z = np.asarray(x, dtype=float).copy()
+        move, a, c = self._moving_pieces(z)
+        if np.any(delta * a <= -1.0):
+            return None
+        zm = z[move]
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_eq = -c / np.where(a != 0.0, a, 1.0)
+            z[move] = np.where(a == 0.0, zm + (k * delta) * c,
+                               z_eq + (zm - z_eq) * np.exp(k * np.log1p(delta * a)))
+        return z
+
+    def _moving_pieces(self, z: np.ndarray):
+        """Mask of the points of z at nonzero velocity, and their pieces'
+        slopes and intercepts."""
+        p = np.searchsorted(self._kinks, z, side="right")
+        a, c = self._slope[p], self._icept[p]
+        move = a * z + c != 0.0
+        return move, a[move], c[move]
+
     def _affine_inplace(self, z: np.ndarray, tau: float) -> None:
         # No trajectory leaves its piece, so each moving point takes its own
         # piece's affine map for the whole of tau: the arithmetic of the
         # walk's first piece, where no kink is ever hit, bit for bit.
-        p = np.searchsorted(self._kinks, z, side="right")
-        a, c = self._slope[p], self._icept[p]
-        move = a * z + c != 0.0
-        a, c, zm = a[move], c[move], z[move]
+        move, a, c = self._moving_pieces(z)
+        zm = z[move]
         with np.errstate(over="ignore", invalid="ignore"):
             z_eq = -c / np.where(a != 0.0, a, 1.0)
             z[move] = np.where(a == 0.0, zm + c * tau, z_eq + (zm - z_eq) * np.exp(a * tau))
