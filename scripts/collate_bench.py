@@ -7,8 +7,9 @@ P and C are checkouts of the parent and the change.  In each, every seed was
 run with ``perfbench/run.py --workload W --seed S --seconds 40 --trace 0`` for
 both workloads, and the trace seed with ``--trace 1``.  The output holds, per
 workload and end-to-end metric, the median, quartiles and IQR on each side,
-the relative change of the medians and the number of seeds on which the
-change read lower; the traced per-layer metrics of both sides; failures;
+the relative change of the medians, the median over seeds of each pair's
+relative change, and the number of seeds on which the change read lower or
+higher; the traced per-layer metrics of both sides; failures;
 and the provenance (shas, net ``src/`` lines, machine) that the runs record.
 """
 
@@ -52,6 +53,8 @@ def collate(parent: Path, change: Path, seeds: list, trace_seed: int) -> dict:
                 "median_change_frac": (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0,
                 "change_lower_pairs": sum(b < a for a, b in zip(vals["parent"], vals["change"])),
                 "change_higher_pairs": sum(b > a for a, b in zip(vals["parent"], vals["change"])),
+                "median_pair_change_frac": float(np.median(
+                    [(b - a) / a if a else 0.0 for a, b in zip(vals["parent"], vals["change"])])),
                 "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["iqr"],
             }
         traced = {side: _load(d, w, trace_seed, 1) for side, d in (("parent", parent), ("change", change))}

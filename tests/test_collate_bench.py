@@ -73,9 +73,11 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     assert ev["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.25, "iqr": 0.5, "runs": [0.5, 1.5]}
     assert ev["median_change_frac"] == pytest.approx(-2.0 / 3.0)
     assert (ev["change_lower_pairs"], ev["change_higher_pairs"]) == (2, 0)
+    # Pairs 0.5/2 - 1 = -0.75 and 1.5/4 - 1 = -0.625.
+    assert ev["median_pair_change_frac"] == pytest.approx(-0.6875)
     assert ev["median_gap_exceeds_parent_iqr"] is True
     steps = fields["end_to_end"]["steps"]
-    assert steps["median_change_frac"] == 0.0
+    assert steps["median_change_frac"] == 0.0 and steps["median_pair_change_frac"] == 0.0
     assert (steps["change_lower_pairs"], steps["change_higher_pairs"]) == (0, 0)
     assert steps["median_gap_exceeds_parent_iqr"] is False
     assert fields["failed"] == {"parent": [1, 15], "change": [0, 18]}
@@ -85,5 +87,8 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     kernels = doc["workloads"]["kernels"]
     ev = kernels["end_to_end"]["eval_s"]
     assert (ev["change_lower_pairs"], ev["change_higher_pairs"]) == (1, 1)
+    # Pairs +0.2 and -0.2: the median pair change is 0 while the medians agree.
+    assert ev["median_pair_change_frac"] == pytest.approx(0.0, abs=1e-12)
+    assert ev["median_change_frac"] == 0.0
     assert ev["parent"]["iqr"] == 0.0 and ev["median_gap_exceeds_parent_iqr"] is False
     assert kernels["failed"] == {"parent": [0, 10], "change": [2, 10]}

@@ -219,6 +219,11 @@ class TestAffineKinkFixingFlow:
         x = np.concatenate([self._points(p), [z]])
         np.testing.assert_array_equal(p.flow(x, tau), _walked(p, x, tau))
 
+    def test_euler_steps_needs_fixed_kinks(self):
+        # The soft-threshold well moves at its kinks +-2, so points cross them.
+        with pytest.raises(ValueError, match="needs a field that fixes its kinks"):
+            soft_threshold_well_1d().field.pwl.euler_steps(np.zeros(3), 0.1, 4)
+
 
 class TestVectorScalarConsistency:
     def test_batch_matches_scalar(self):
