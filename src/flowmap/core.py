@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "VectorField",
@@ -154,6 +153,8 @@ def _check_state(z: np.ndarray) -> None:
 
 
 def _rk45_step_field(f: VectorField, z: np.ndarray, tau: float, cfg: IntegratorConfig) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     shape = z.shape
     nfev = 0
     budget = 8 * cfg.max_steps

@@ -108,7 +108,8 @@ def resnet_forward(net: ResNetExport, x) -> np.ndarray:
     a kink, evaluates its layers one at a time.  The closed forms move
     outputs at roundoff against the per-layer loop.  Non-finite inputs
     raise ValueError, and the guard of ``flow_eval`` (BlowupError) holds
-    after every run.
+    after every closed-form run and after every layer of the loop, so the
+    loop stops at the first layer past the guard, before it can overflow.
     """
     z = np.asarray(x, dtype=float).copy()
     if z.shape[-1:] != (net.dim,):
@@ -127,8 +128,10 @@ def resnet_forward(net: ResNetExport, x) -> np.ndarray:
             out = z
             for _ in range(k):
                 out = out + d * f.eval(out)
+                _check_state(out)
+        else:
+            _check_state(out)
         z = out
-        _check_state(z)
     return z
 
 

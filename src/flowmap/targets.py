@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Target1D",
@@ -127,6 +125,8 @@ def builtin_target_1d(name: str) -> Target1D:
 
 def target_1d_from_csv(path) -> Target1D:
     """Monotone interpolation of (x, phi(x)) sample rows."""
+    from scipy.interpolate import PchipInterpolator
+
     xs, ys = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -212,6 +212,8 @@ BUILTIN_ND = ("identity", "flip", "const", "swirl")
 
 def target_nd_from_csv(path, n: int) -> TargetSpec:
     """Nearest-sample lookup table from rows x_1..x_n, y_1..y_m."""
+    from scipy.spatial import cKDTree
+
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):

@@ -154,3 +154,39 @@ def test_python_m_flowmap_runs_the_cli():
                           env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: flowmap")
+
+
+_COLD_START = """
+import json, sys
+import numpy as np
+import flowmap, flowmap.cli
+at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from flowmap.core import IntegratorConfig, Schedule, flow_eval
+from flowmap.families import field_from_terms_1d
+from flowmap.targets import target_1d_from_csv, target_nd_from_csv
+lin = field_from_terms_1d([(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)])  # z' = z
+x = np.array([[-0.5], [0.25], [1.0]])
+rk45 = flow_eval(Schedule(((lin, 0.5), (lin, 0.25)), 1), x, IntegratorConfig(method="rk45_adaptive"))
+t1, tn = target_1d_from_csv(sys.argv[1]), target_nd_from_csv(sys.argv[2], 2)
+print(json.dumps({"at_import": at_import, "rk45": rk45.ravel().tolist(),
+                  "t1": t1(np.array([0.0, 0.5, 1.0])).tolist(), "t1_increasing": t1.increasing,
+                  "tn": tn(np.array([[0.1, 0.1], [0.9, 0.8]])).tolist()}))
+"""
+
+
+def test_cold_start_loads_no_scipy_until_used(tmp_path):
+    # A fresh interpreter: import flowmap without scipy, then take the RK45
+    # path and both CSV targets, which import it on their first call.
+    (tmp_path / "t1.csv").write_text("x,y\n0,0\n0.5,0.25\n1,1\n")
+    (tmp_path / "tn.csv").write_text("0,0,10\n1,1,20\n")
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "t1.csv"),
+                           str(tmp_path / "tn.csv")], cwd=repo,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["at_import"] == []
+    np.testing.assert_allclose(out["rk45"], np.array([-0.5, 0.25, 1.0]) * np.exp(0.75), rtol=1e-8)
+    np.testing.assert_allclose(out["t1"], [0.0, 0.25, 1.0], atol=1e-15)
+    assert out["t1_increasing"]
+    assert out["tn"] == [[10.0], [20.0]]
