@@ -9,8 +9,10 @@ both workloads, and the trace seed with ``--trace 1``.  The output holds, per
 workload and end-to-end metric, the median, quartiles and IQR on each side,
 the relative change of the medians, the median over seeds of each pair's
 relative change, and the number of seeds on which the change read lower or
-higher; the traced per-layer metrics of both sides; failures;
-and the provenance (shas, net ``src/`` lines, machine) that the runs record.
+higher; the median, quartiles and IQR of the two parts of ``setup_s`` (each
+run's median fresh-interpreter import and median input set-up); the traced
+per-layer metrics of both sides; failures; and the provenance (shas, net
+``src/`` lines, machine) that the runs record.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ def collate(parent: Path, change: Path, seeds: list, trace_seed: int) -> dict:
         traced = {side: _load(d, w, trace_seed, 1) for side, d in (("parent", parent), ("change", change))}
         out[w] = {
             "end_to_end": metrics,
+            "setup_parts": {part: {side: _stats([np.median(r["raw"][part]) for r in rs])
+                                   for side, rs in runs.items()}
+                            for part in ("import_s", "setup_inputs_s")},
             "failed": {side: [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
                        for side, rs in runs.items()},
             "per_layer_traced": {name: {"unit": m["unit"], "parent": m["value"],

@@ -12,6 +12,9 @@ that no step of the run moves) adds one piecewise-linear function of the
 read coordinate to each driven one.  Each run is composed exactly into
 breakpoints and values and evaluated with one interpolation per column,
 which moves results at roundoff against stepping the points.
+
+RK45 is scipy's ``solve_ivp``, imported on the first RK45 step, so that
+importing flowmap loads no scipy module.
 """
 
 from __future__ import annotations

@@ -166,9 +166,11 @@ from flowmap.families import field_from_terms_1d
 from flowmap.targets import target_1d_from_csv, target_nd_from_csv
 lin = field_from_terms_1d([(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)])  # z' = z
 x = np.array([[-0.5], [0.25], [1.0]])
-rk45 = flow_eval(Schedule(((lin, 0.5), (lin, 0.25)), 1), x, IntegratorConfig(method="rk45_adaptive"))
+sched = Schedule(((lin, 0.5), (lin, 0.25)), 1)
+rk45 = flow_eval(sched, x, IntegratorConfig(method="rk45_adaptive"))
 t1, tn = target_1d_from_csv(sys.argv[1]), target_nd_from_csv(sys.argv[2], 2)
-print(json.dumps({"at_import": at_import, "rk45": rk45.ravel().tolist(),
+used = [m in sys.modules for m in ("scipy.integrate", "scipy.interpolate", "scipy.spatial")]
+print(json.dumps({"at_import": at_import, "used": used, "rk45": rk45.ravel().tolist(),
                   "t1": t1(np.array([0.0, 0.5, 1.0])).tolist(), "t1_increasing": t1.increasing,
                   "tn": tn(np.array([[0.1, 0.1], [0.9, 0.8]])).tolist()}))
 """
@@ -185,7 +187,7 @@ def test_cold_start_loads_no_scipy_until_used(tmp_path):
                           env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["at_import"] == []
+    assert out["at_import"] == [] and out["used"] == [True, True, True]
     np.testing.assert_allclose(out["rk45"], np.array([-0.5, 0.25, 1.0]) * np.exp(0.75), rtol=1e-8)
     np.testing.assert_allclose(out["t1"], [0.0, 0.25, 1.0], atol=1e-15)
     assert out["t1_increasing"]

@@ -15,6 +15,14 @@ RUNS = {
     "parent": {"fields": [(2.0, 1, 7), (4.0, 0, 8)], "kernels": [(1.0, 0, 5), (1.0, 0, 5)]},
     "change": {"fields": [(0.5, 0, 9), (1.5, 0, 9)], "kernels": [(1.2, 0, 5), (0.8, 2, 5)]},
 }
+# side -> per-seed raw set-up timings (import_s, setup_inputs_s), as run.py
+# writes them: four imports and five input set-ups per run.
+RAW = {
+    "parent": [([0.9, 1.1, 0.8, 1.0], [0.01, 0.02, 0.03, 0.02, 0.01]),
+               ([0.7, 0.7, 0.8, 0.9], [0.02, 0.02, 0.02, 0.02, 0.02])],
+    "change": [([0.2, 0.3, 0.2, 0.2], [0.01, 0.01, 0.01, 0.02, 0.01]),
+               ([0.3, 0.3, 0.4, 0.2], [0.03, 0.02, 0.03, 0.02, 0.01])],
+}
 TRACED_NS = {"parent": 30.0, "change": 8.0}
 SRC_LINES = {"parent": 100, "change": 120}
 
@@ -28,11 +36,12 @@ def _provenance(side, seed):
 def _write_side(out, side):
     out.mkdir(parents=True)
     for w, runs in RUNS[side].items():
-        for seed, (eval_s, failed, attempted) in zip(SEEDS, runs):
+        for seed, (eval_s, failed, attempted), (imports, inputs) in zip(SEEDS, runs, RAW[side]):
             doc = {"workload": w, "trace": 0, "provenance": _provenance(side, seed),
                    "failed": failed, "attempted": attempted,
                    "end_to_end": {"eval_s": {"value": eval_s, "samples": 3, "unit": "s"},
-                                  "steps": {"value": 40, "samples": 1, "unit": "count"}}}
+                                  "steps": {"value": 40, "samples": 1, "unit": "count"}},
+                   "raw": {"import_s": imports, "setup_inputs_s": inputs}}
             (out / f"{w}-seed{seed}-trace0.json").write_text(json.dumps(doc))
         traced = {"workload": w, "trace": 1, "provenance": _provenance(side, TRACE_SEED),
                   "per_layer": {"discretize.resnet_forward.ns_per_point_layer":
@@ -81,6 +90,16 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     assert (steps["change_lower_pairs"], steps["change_higher_pairs"]) == (0, 0)
     assert steps["median_gap_exceeds_parent_iqr"] is False
     assert fields["failed"] == {"parent": [1, 15], "change": [0, 18]}
+    # Per run the median of its raw timings: imports [0.95, 0.75] and
+    # [0.2, 0.3], input set-ups [0.02, 0.02] and [0.01, 0.02].
+    parts = fields["setup_parts"]
+    assert parts["import_s"]["parent"] == pytest.approx(
+        {"median": 0.85, "q1": 0.8, "q3": 0.9, "iqr": 0.1, "runs": [0.95, 0.75]})
+    assert parts["import_s"]["change"] == pytest.approx(
+        {"median": 0.25, "q1": 0.225, "q3": 0.275, "iqr": 0.05, "runs": [0.2, 0.3]})
+    assert parts["setup_inputs_s"]["parent"] == pytest.approx(
+        {"median": 0.02, "q1": 0.02, "q3": 0.02, "iqr": 0.0, "runs": [0.02, 0.02]})
+    assert parts["setup_inputs_s"]["change"]["runs"] == pytest.approx([0.01, 0.02])
     assert fields["per_layer_traced"] == {"discretize.resnet_forward.ns_per_point_layer":
                                           {"unit": "ns", "parent": 30.0, "change": 8.0}}
 

@@ -259,9 +259,10 @@ class TestRunForward:
         # Co-moving and restoring shear stages read the coordinate they drive.
         assert shears and tensors
         assert not any(f.frozen_drive for f in shears + tensors)
-        # At S = 1024 every tensor run has delta < 1 on slopes +-1, so no step
-        # overshoots a kink; the first run contracts toward 0 and leaves the
-        # points of PTS_2D above 1.1e-4 on the next runs' moving tails.
+        # At S = 1024 every tensor run has delta < 0.21 on slopes +-1, so no
+        # step overshoots a kink.  The first run scales every coordinate by
+        # 5.5e-5, which leaves those of PTS_2D above 0.65 on the moving tail
+        # (z > 3.6e-5) of the second.
         net = euler_discretize(sched, 1024)
         moved_runs = []
         euler_steps = PwlField.euler_steps
@@ -280,7 +281,7 @@ class TestRunForward:
 
     @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64 here")
     @pytest.mark.xfail(strict=True, reason="on the contracting first tensor run (k log1p(delta a) "
-                       "= -8.8) the closed form's relative error is about twice the loop's, and "
+                       "= -9.8) the closed form's relative error is about twice the loop's, and "
                        "the next run's expansion about its kink makes it visible: RMS 8.1e-15 "
                        "against 4.6e-15")
     def test_tensor_backend_schedule_no_less_accurate_than_loop(self):
@@ -382,19 +383,6 @@ class TestRunForward:
         with pytest.raises(BlowupError, match=message), warnings.catch_warnings():
             warnings.simplefilter("error")
             resnet_forward(net, np.ones((2, field.dim)))
-
-    def test_loop_stops_at_first_layer_past_guard(self):
-        calls = []
-
-        def counted(z):
-            calls.append(1)
-            return LIN2.eval(z)
-
-        f = generic_field(counted, 2, LIN2.lipschitz_bound)
-        net = ResNetExport(runs=((f, 8, 1e20),), source_T=8e20, dim=2)
-        with pytest.raises(BlowupError, match="exceeded guard"):
-            resnet_forward(net, np.ones((2, 2)))
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_highd_frozen_drives_are_flagged(self, n):
