@@ -60,22 +60,13 @@ def _echo_config(out: Path, args) -> None:
     _write_json(out / "config.json", cfg)
 
 
-def _well_1d(name: str):
-    if name == "relu":
-        return fam.relu_well_1d(-1.0, 0.0)
-    if name == "soft_threshold":
-        return fam.soft_threshold_well_1d()
-    raise ValueError(f"unknown 1D well {name!r}")
-
-
 def cmd_approx1d(args) -> int:
     _require(args, "target", "eps")
     out = _outdir(args, "approx1d")
     _echo_config(out, args)
     t0 = time.perf_counter()
     target = parse_target(args.target, kind="1d")
-    well = _well_1d(args.well)
-    res = approx_increasing(target, args.eps, well)
+    res = approx_increasing(target, args.eps)
     pts = sup_probe_points(res.nodes, args.seed)
     got = flow_eval(res.schedule, pts[:, None])[:, 0]
     err = float(np.max(np.abs(got - np.asarray(target.fn(pts)))))
@@ -217,8 +208,6 @@ def build_parser():
     sp = sub.add_parser("approx1d", help="approximate an increasing 1D target")
     sp.add_argument("--target", help="builtin:NAME or csv:PATH")
     sp.add_argument("--eps", type=float)
-    sp.add_argument("--well", default="relu",
-                    choices=["relu", "soft_threshold"])
     common(sp)
     sp.set_defaults(func=cmd_approx1d)
 

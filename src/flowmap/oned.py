@@ -3,7 +3,9 @@
 The point-matching induction drives one new point to its target per stage,
 protecting already-matched points by squeezing them into the zero interval of
 a translated well (where the drive field vanishes identically) and undoing
-the squeeze with the exact inverse flow afterwards.
+the squeeze with the exact inverse flow afterwards.  Uniform approximation
+does not match points: it compiles the increasing piecewise-linear
+interpolant of the target's partition nodes exactly (``compile_pwl_map``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .core import DEFAULT_CONFIG, IntegratorConfig, Schedule, flow_eval
 from .families import WellFunction, negated_field
+from .rates import compile_pwl_map
 from .targets import Target1D
 
 __all__ = [
@@ -212,7 +215,7 @@ class ApproxResult:
 
     @property
     def error_budget(self) -> float:
-        """Sup-grid error never exceeds omega(mesh) + point-match tolerance."""
+        """Sup-grid error never exceeds omega(mesh) + node tolerance."""
         return self.omega_estimate + self.point_tol
 
 
@@ -223,16 +226,27 @@ def _estimate_omega(phi, a: float, b: float, pieces: int) -> float:
     return float(np.max(np.abs(vals[10:] - vals[:-10])))
 
 
-def approx_increasing(phi, eps: float, well: WellFunction,
+def _require_relu_well(well: WellFunction) -> None:
+    """The compiled map is built from its own ReLU stages; a given well must
+    be a 1D ReLU well: piece tables, and every kink an equilibrium."""
+    well.require_piece_tables("approx_increasing")
+    if well.dim != 1 or not well.field.pwl.fixes_kinks:
+        raise ValueError("approx_increasing takes only a 1D ReLU well, every kink an "
+                         f"equilibrium; {well.label or 'this well'} is not one")
+
+
+def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
                       domain: Optional[tuple] = None,
-                      probe_points: int = 1024,
-                      cfg: IntegratorConfig = DEFAULT_CONFIG) -> ApproxResult:
+                      probe_points: int = 1024) -> ApproxResult:
     """Uniformly approximate an increasing continuous target by a flow map.
 
-    Splits the error budget evenly: the partition mesh is refined until the
-    empirical modulus of continuity is below eps/2, then the nodes are matched
-    within eps/2.  Rejects targets that fail the increasing probe, since 1D
-    flow maps (and their limits) are increasing.
+    Refines the partition until the empirical modulus of continuity is below
+    eps/2, then compiles the nodes' piecewise-linear interpolant exactly with
+    ``compile_pwl_map``.  On each cell the target and the interpolant both
+    lie between the two node values, so the sup error is at most
+    omega(mesh), plus roundoff at the nodes.  Rejects targets that fail the
+    increasing probe, since 1D flow maps (and their limits) are increasing.
+    ``well``, if given, must be a 1D ReLU well; the map does not depend on it.
     """
     if isinstance(phi, Target1D):
         if domain is None:
@@ -245,7 +259,8 @@ def approx_increasing(phi, eps: float, well: WellFunction,
     a, b = float(domain[0]), float(domain[1])
     if not eps > 0:
         raise ValueError("eps must be positive")
-    well.require_piece_tables("point matching")
+    if well is not None:
+        _require_relu_well(well)
     grid = np.linspace(a, b, probe_points + 1)
     vals = np.asarray(fn(grid), dtype=float)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -267,12 +282,13 @@ def approx_increasing(phi, eps: float, well: WellFunction,
     nodes = np.linspace(a, b, pieces + 1)
     node_vals = np.asarray(fn(nodes), dtype=float).copy()
     # Flats in the target give equal node values; nudge them apart by an
-    # amount far below the matching tolerance.
+    # amount far below the tolerance, and by at least one ulp.
     tiny = max(1e-13, eps * 1e-8)
     for i in range(1, len(node_vals)):
-        if node_vals[i] <= node_vals[i - 1]:
-            node_vals[i] = node_vals[i - 1] + tiny
-    problem = PointMatchProblem(xs=nodes, ys=node_vals, well=well, eps=eps / 2.0)
-    result = match_points_result(problem, cfg)
-    return ApproxResult(schedule=result.schedule, nodes=nodes, node_values=node_vals,
+        prev = node_vals[i - 1]
+        if node_vals[i] <= prev:
+            node_vals[i] = max(prev + tiny, np.nextafter(prev, np.inf))
+    sched = compile_pwl_map(nodes[1:-1], np.diff(node_vals) / np.diff(nodes),
+                            nodes[0], node_vals[0])
+    return ApproxResult(schedule=sched, nodes=nodes, node_values=node_vals,
                         mesh=(b - a) / pieces, omega_estimate=omega, point_tol=eps / 2.0)

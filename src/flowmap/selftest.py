@@ -99,13 +99,12 @@ def criterion_4_point_matching(seed: int = 0) -> dict:
 def criterion_5_increasing_approx(seed: int = 0) -> dict:
     """Builtin increasing targets reach sup error <= eps for both budgets,
     probed between the partition nodes too (see sup_probe_points)."""
-    well = fam.relu_well_1d(-1.0, 0.0)
     rows = []
     ok = True
     for name in ("smooth1", "quad"):
         target = builtin_target_1d(name)
         for eps in (1e-1, 1e-2):
-            res = approx_increasing(target, eps, well)
+            res = approx_increasing(target, eps)
             probe = sup_probe_points(res.nodes, seed)
             out = flow_eval(res.schedule, probe[:, None])[:, 0]
             err = float(np.max(np.abs(out - np.asarray(target.fn(probe)))))

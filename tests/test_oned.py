@@ -129,12 +129,16 @@ class TestApproxIncreasing:
         res = approx_increasing(builtin_target_1d("identity"), 0.05, WELL)
         assert len(res.schedule) == 0
 
-    def test_soft_threshold_well_works(self):
-        target = builtin_target_1d("smooth1")
-        res = approx_increasing(target, 5e-2, soft_threshold_well_1d())
-        grid = np.linspace(0, 1, 513)
-        out = flow_eval(res.schedule, grid[:, None])[:, 0]
-        assert float(np.max(np.abs(out - target.fn(grid)))) <= 5e-2
+    def test_soft_threshold_well_rejected_up_front(self, monkeypatch):
+        # The compiled map is built from its own ReLU stages, so a given well
+        # must be a 1D ReLU well; the soft threshold has kinks that are not
+        # equilibria: rejected, by name, before the partition search.
+        def no_partition(*args, **kwargs):
+            raise AssertionError("partition search started")
+
+        monkeypatch.setattr("flowmap.oned._estimate_omega", no_partition)
+        with pytest.raises(ValueError, match="soft_threshold is not one"):
+            approx_increasing(builtin_target_1d("smooth1"), 5e-2, soft_threshold_well_1d())
 
     def test_block_wells_rejected_up_front(self, monkeypatch):
         # Residual-block-shaped wells s(a sigma(x) + b) have no piece tables,
