@@ -9,10 +9,11 @@ both workloads, and the trace seed with ``--trace 1``.  The output holds, per
 workload and end-to-end metric, the median, quartiles and IQR on each side,
 the relative change of the medians, the median over seeds of each pair's
 relative change, and the number of seeds on which the change read lower or
-higher; the median, quartiles and IQR of the two parts of ``setup_s`` (each
-run's median fresh-interpreter import and median input set-up); the traced
-per-layer metrics of both sides; failures; and the provenance (shas, net
-``src/`` lines, machine) that the runs record.
+higher; a verdict (see ``verdict``) from the metric's ``better`` and
+``bound`` in ``BENCHMARK.json``; the median, quartiles and IQR of the two
+parts of ``setup_s`` (each run's median fresh-interpreter import and median
+input set-up); the traced per-layer metrics of both sides; failures; and the
+provenance (shas, net ``src/`` lines, machine) that the runs record.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("fields", "kernels")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _seeds(text: str) -> list:
@@ -41,7 +43,31 @@ def _stats(values) -> dict:
             "runs": [float(v) for v in values]}
 
 
-def collate(parent: Path, change: Path, seeds: list, trace_seed: int) -> dict:
+def verdict(parent, change, better: str, bound: float) -> str:
+    """One metric's verdict over paired runs, ``bound`` a fraction of the parent median.
+
+    ``improved``: the change is better in at least 9/10 of the pairs (ties
+    count for neither) and the medians differ by more than the parent's IQR.
+    ``worse``: the change's median is worse by more than the bound.
+    ``unresolved``: the IQR over the median of either side is wider than the
+    bound, and not every change run beats every parent run.  ``no_worse``:
+    otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = sign * np.asarray(parent, dtype=float), sign * np.asarray(change, dtype=float)
+    ps, cs = _stats(p), _stats(c)
+    if np.sum(c < p) >= 0.9 * len(p) and ps["median"] - cs["median"] > ps["iqr"]:
+        return "improved"
+    if cs["median"] - ps["median"] > bound * abs(ps["median"]):
+        return "worse"
+    wide = any(side["iqr"] > bound * abs(side["median"]) for side in (ps, cs))
+    if wide and not c.max() < p.min():
+        return "unresolved"
+    return "no_worse"
+
+
+def collate(parent: Path, change: Path, seeds: list, trace_seed: int, spec: dict) -> dict:
+    declared = {m["name"]: m for m in spec["end_to_end"]}
     out = {}
     for w in WORKLOADS:
         runs = {side: [_load(d, w, s, 0) for s in seeds]
@@ -58,6 +84,8 @@ def collate(parent: Path, change: Path, seeds: list, trace_seed: int) -> dict:
                 "median_pair_change_frac": float(np.median(
                     [(b - a) / a if a else 0.0 for a, b in zip(vals["parent"], vals["change"])])),
                 "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["iqr"],
+                "verdict": verdict(vals["parent"], vals["change"], declared[name]["better"],
+                                   declared[name]["bound"]),
             }
         traced = {side: _load(d, w, trace_seed, 1) for side, d in (("parent", parent), ("change", change))}
         out[w] = {
@@ -91,7 +119,8 @@ def main() -> None:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
     seeds = _seeds(args.seeds)
-    doc = collate(args.parent, args.change, seeds, args.trace_seed)
+    spec = json.loads(BENCHMARK.read_text())
+    doc = collate(args.parent, args.change, seeds, args.trace_seed, spec)
     doc = {"git_sha": {"parent": args.parent_sha, "change": args.change_sha},
            "seeds": seeds, "trace_seed": args.trace_seed, "method": args.method, **doc}
     doc["src_lines"]["net"] = doc["src_lines"]["change"] - doc["src_lines"]["parent"]

@@ -35,6 +35,15 @@ def test_approx1d_artifacts(tmp_path):
     assert "wall_time" not in rep
 
 
+def test_approx1d_has_no_well_option(tmp_path, capsys):
+    # The compiled map is built from its own ReLU stages: no well to choose.
+    with pytest.raises(SystemExit) as exc:
+        main(["approx1d", "--target", "builtin:smooth1", "--eps", "1e-1",
+              "--well", "relu", "--out", str(tmp_path / "a1")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --well" in capsys.readouterr().err
+
+
 def test_rate_csv(tmp_path):
     out = tmp_path / "rate"
     rc = main(["rate", "--target", "builtin:pwl4",

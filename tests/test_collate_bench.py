@@ -25,6 +25,8 @@ RAW = {
 }
 TRACED_NS = {"parent": 30.0, "change": 8.0}
 SRC_LINES = {"parent": 100, "change": 120}
+BENCHMARK = {"end_to_end": [{"name": "eval_s", "unit": "s", "better": "lower", "bound": 0.1},
+                            {"name": "steps", "unit": "count", "better": "lower", "bound": 0.05}]}
 
 
 def _provenance(side, seed):
@@ -61,6 +63,9 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     for side in RUNS:
         _write_side(tmp_path / side, side)
     out = tmp_path / "BENCH.json"
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps(BENCHMARK))
+    monkeypatch.setattr(collate_bench, "BENCHMARK", spec)
     monkeypatch.setattr(sys, "argv", [
         str(SCRIPT), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
         "--seeds", f"{SEEDS[0]}-{SEEDS[-1]}", "--trace-seed", str(TRACE_SEED),
@@ -85,7 +90,9 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     # Pairs 0.5/2 - 1 = -0.75 and 1.5/4 - 1 = -0.625.
     assert ev["median_pair_change_frac"] == pytest.approx(-0.6875)
     assert ev["median_gap_exceeds_parent_iqr"] is True
+    assert ev["verdict"] == "improved"
     steps = fields["end_to_end"]["steps"]
+    assert steps["verdict"] == "no_worse"
     assert steps["median_change_frac"] == 0.0 and steps["median_pair_change_frac"] == 0.0
     assert (steps["change_lower_pairs"], steps["change_higher_pairs"]) == (0, 0)
     assert steps["median_gap_exceeds_parent_iqr"] is False
@@ -110,4 +117,25 @@ def test_collates_medians_pairs_failures_and_provenance(collate_bench, tmp_path,
     assert ev["median_pair_change_frac"] == pytest.approx(0.0, abs=1e-12)
     assert ev["median_change_frac"] == 0.0
     assert ev["parent"]["iqr"] == 0.0 and ev["median_gap_exceeds_parent_iqr"] is False
+    # The change's IQR over its median, 0.2, is wider than the bound 0.1.
+    assert ev["verdict"] == "unresolved"
     assert kernels["failed"] == {"parent": [0, 10], "change": [2, 10]}
+
+
+@pytest.mark.parametrize("parent, change, better, bound, expected", [
+    # Lower in 9 of 10 pairs, medians 1.0 apart against a parent IQR of 0.5.
+    ([10.0] * 5 + [10.5] * 5, [9.0] * 9 + [11.0], "lower", 0.2, "improved"),
+    # Better in only 8 of 10 pairs: not a claimable gain, and tight enough to settle.
+    ([10.0] * 10, [9.0] * 8 + [10.0] * 2, "lower", 0.2, "no_worse"),
+    # Median 30% above the parent's with a 20% bound.
+    ([10.0] * 10, [13.0] * 10, "lower", 0.2, "worse"),
+    # The parent's IQR is 40% of its median, wider than the bound.
+    ([8.0, 8.0, 12.0, 12.0], [10.0, 10.0, 10.0, 10.0], "lower", 0.2, "unresolved"),
+    # Just as wide, but every change run beats every parent run.
+    ([8.0, 8.0, 12.0, 12.0], [7.0, 7.0, 7.5, 7.5], "lower", 0.2, "no_worse"),
+    # For a higher-is-better metric a lower change is the worse one.
+    ([10.0] * 10, [7.0] * 10, "higher", 0.2, "worse"),
+    ([10.0] * 10, [13.0] * 10, "higher", 0.2, "improved"),
+])
+def test_verdict(collate_bench, parent, change, better, bound, expected):
+    assert collate_bench.verdict(parent, change, better, bound) == expected

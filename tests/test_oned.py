@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowmap.core import Schedule, flow_eval
+from flowmap.core import IntegratorConfig, Schedule, flow_eval
 from flowmap.families import (OutsideSign, WellFunction, generic_field, negated_field,
                               relu_well_1d, sigmoid_smn, sigmoid_soft_threshold,
                               soft_threshold_well_1d)
 from flowmap.oned import (NotIncreasingError, PointMatchProblem, TransportError,
                           approx_increasing, match_points_result, transport_time)
-from flowmap.targets import builtin_target_1d
+from flowmap.targets import PwlData, builtin_target_1d
+from flowmap.util import sup_probe_points
 from helpers import RK12
 
 WELL = relu_well_1d(-1.0, 0.0)
@@ -190,3 +192,91 @@ class TestApproxIncreasing:
         grid = np.linspace(0, 1, 1025)
         out = flow_eval(res.schedule, grid[:, None])[:, 0]
         assert float(np.max(np.abs(out - plateau(grid)))) <= 0.1
+
+
+@st.composite
+def increasing_targets(draw):
+    """(fn, domain, eps): a random increasing PWL target or a smooth one."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.5, 2.0))
+    anchor = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        pieces = draw(st.integers(1, 6))
+        cuts = draw(st.lists(st.integers(1, 63), min_size=pieces - 1, max_size=pieces - 1,
+                             unique=True))
+        bp = lo + (hi - lo) * np.array([0, *sorted(cuts), 64]) / 64.0
+        slopes = draw(st.lists(st.floats(0.2, 4.0), min_size=pieces, max_size=pieces))
+        fn = PwlData(bp, np.array(slopes), anchor)
+    else:
+        a, c = draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 1.0))
+        k, x0 = draw(st.floats(0.5, 4.0)), draw(st.floats(lo, hi))
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return anchor + a * x + c * np.tanh(k * (x - x0))
+    return fn, (lo, hi), draw(st.sampled_from([0.05, 0.1, 0.2]))
+
+
+class TestCompiledInterpolant:
+    """approx_increasing compiles the node interpolant: exact at the nodes up
+    to roundoff, and within omega(mesh) of the target between them."""
+
+    @staticmethod
+    def _check(res, fn, eps, seed=0):
+        probe = sup_probe_points(res.nodes, seed)
+        out = flow_eval(res.schedule, probe[:, None])[:, 0]
+        err = float(np.max(np.abs(out - np.asarray(fn(probe)))))
+        assert err <= min(eps, res.error_budget)
+        at_nodes = flow_eval(res.schedule, res.nodes[:, None])[:, 0]
+        xs, ys = res.nodes, res.node_values
+        # The translation gadget shifts by delta = phi(x0) - s0 x0 through a
+        # kink 2 |delta| / slack away, slack = max(1e-3, |delta| / 1e6): its
+        # roundoff is that of numbers of that size.
+        delta = ys[0] - (ys[1] - ys[0]) / (xs[1] - xs[0]) * xs[0]
+        tol = (1e-12 * np.maximum(1.0, np.abs(ys))
+               + 4.0 * np.spacing(min(2e3 * abs(delta), 2e6)))
+        assert np.all(np.abs(at_nodes - ys) <= tol)
+
+    @given(increasing_targets(), st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_random_targets_meet_budget_and_match_rk45(self, case, seed):
+        fn, domain, eps = case
+        res = approx_increasing(fn, eps, domain=domain)
+        self._check(res, fn, eps, seed)
+        lo, hi = domain
+        pts = np.array([lo, 0.3 * lo + 0.7 * hi])[:, None]
+        exact = flow_eval(res.schedule, pts)[:, 0]
+        rk45 = flow_eval(res.schedule, pts, IntegratorConfig(method="rk45_adaptive"))[:, 0]
+        np.testing.assert_allclose(rk45, exact, rtol=0.0, atol=1e-8)
+
+    def test_far_anchor_exercises_gadget_slack(self):
+        # phi(nodes[0]) - nodes[0] is about 1e4, so the translation gadget's
+        # slack grows past its default of 1e-3 to |delta| / 1e6.
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return 1e4 + x + x ** 3
+
+        res = approx_increasing(fn, 1e-3, domain=(0.0, 1.0))
+        self._check(res, fn, 1e-3)
+        (contract, t1), (expand, t2) = res.schedule.steps[-2:]
+        assert (contract.label, expand.label) == ("shift_contract", "shift_expand")
+        assert t1 + t2 == pytest.approx(1e4 / 1e6, rel=1e-6)
+
+    def test_pwl_target_compiles_to_a_handful_of_steps(self):
+        target = builtin_target_1d("pwl4")
+        res = approx_increasing(target, 1e-3)
+        assert len(res.schedule) <= 8
+        probe = sup_probe_points(res.nodes, 0)
+        out = flow_eval(res.schedule, probe[:, None])[:, 0]
+        assert float(np.max(np.abs(out - target.fn(probe)))) <= 1e-12
+
+    def test_flat_piece_nudged_by_at_least_one_ulp(self):
+        # At 1e6 one ulp is about 1.2e-10, above the nudge of eps * 1e-8 =
+        # 1e-11: prev + tiny rounds back to prev, so equal node values stay
+        # equal unless the nudge takes the next float up.
+        def plateau(x):
+            return 1e6 + np.clip(np.asarray(x, dtype=float) - 0.25, 0.0, 0.5)
+
+        res = approx_increasing(plateau, 1e-3, domain=(0.0, 1.0))
+        assert np.all(np.diff(res.node_values) > 0)
+        self._check(res, plateau, 1e-3)
