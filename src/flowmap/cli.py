@@ -73,8 +73,9 @@ def cmd_approx1d(args) -> int:
     _write_json(out / "schedule.json", schedule_to_json(res.schedule))
     _write_json(out / "report.json", {
         "target": args.target, "eps": args.eps,
-        "measured_sup_error": err, "omega_estimate": res.omega_estimate,
-        "mesh": res.mesh, "nodes": len(res.nodes), "steps": len(res.schedule),
+        "measured_sup_error": err, "error_budget": res.error_budget,
+        "cells_certified": res.cells_certified, "cells_sampled": res.cells_sampled,
+        "nodes": len(res.nodes), "steps": len(res.schedule),
         "total_time_T": res.schedule.total_time,
         "passed": bool(err <= args.eps),
     })

@@ -20,6 +20,7 @@ importing flowmap loads no scipy module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +40,7 @@ __all__ = [
     "schedule_to_json",
     "schedule_from_json",
     "register_family",
+    "require_duration",
 ]
 
 BLOWUP_LIMIT = 1e12
@@ -93,6 +95,18 @@ class VectorField:
             raise ValueError("lipschitz_bound must be nonnegative")
 
 
+def require_duration(value, what: str) -> float:
+    """``value`` as a float: a real number, not bool or str, finite and >= 0.
+
+    The rule for a schedule step's tau and for an export run's delta.
+    """
+    if ((type(value) is not float
+         and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
+            or not (value >= 0.0 and math.isfinite(value))):
+        raise ValueError(f"{what} must be a finite nonnegative number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Piecewise-constant control: ordered (field, duration) steps."""
@@ -101,13 +115,11 @@ class Schedule:
     dim: int
 
     def __post_init__(self):
-        steps = tuple((f, float(t)) for f, t in self.steps)
+        steps = tuple((f, require_duration(t, "step duration")) for f, t in self.steps)
         object.__setattr__(self, "steps", steps)
-        for f, t in steps:
+        for f, _ in steps:
             if f.dim != self.dim:
                 raise ValueError(f"field dim {f.dim} != schedule dim {self.dim}")
-            if not (t >= 0.0 and math.isfinite(t)):
-                raise ValueError(f"step duration must be finite and nonnegative, got {t}")
 
     @property
     def total_time(self) -> float:
@@ -368,11 +380,15 @@ def field_to_json(f: VectorField) -> dict:
 
 
 def field_from_json(doc: dict) -> VectorField:
-    tag = doc["family_tag"]
-    if tag not in _FAMILY_REGISTRY:
-        raise ValueError(f"unknown family tag {tag!r}; registered tags: "
-                         + ", ".join(sorted(_FAMILY_REGISTRY)))
-    return _FAMILY_REGISTRY[tag](doc["params"])
+    """Field from its {family_tag, params} document; a missing key is a ValueError."""
+    try:
+        tag, params = doc["family_tag"], doc["params"]
+        if tag not in _FAMILY_REGISTRY:
+            raise ValueError(f"unknown family tag {tag!r}; registered tags: "
+                             + ", ".join(sorted(_FAMILY_REGISTRY)))
+        return _FAMILY_REGISTRY[tag](params)
+    except KeyError as e:
+        raise ValueError(f"field document or its params lack key {e}") from None
 
 
 def schedule_to_json(sched: Schedule) -> dict:
@@ -388,5 +404,9 @@ def schedule_to_json(sched: Schedule) -> dict:
 
 
 def schedule_from_json(doc: dict) -> Schedule:
-    steps = tuple((field_from_json(s), s["tau"]) for s in doc["steps"])
-    return Schedule(steps, doc["dim"])
+    try:
+        steps = tuple((field_from_json(s), s["tau"]) for s in doc["steps"])
+        dim = doc["dim"]
+    except KeyError as e:
+        raise ValueError(f"schedule document or step lacks key {e}") from None
+    return Schedule(steps, dim)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_CONFIG, IntegratorConfig, Schedule, _check_state, field_from_json,
-                   field_to_json, flow_eval)
+                   field_to_json, flow_eval, require_duration)
 
 __all__ = [
     "ResNetExport",
@@ -56,9 +56,7 @@ class ResNetExport:
                 raise ValueError(f"run {r}: field dim {f.dim} != network dim {self.dim}")
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"run {r}: layers must be an int >= 1, got {k!r}")
-            if (isinstance(d, bool) or not isinstance(d, (int, float))
-                    or not (d >= 0.0 and math.isfinite(d))):
-                raise ValueError(f"run {r}: delta must be a finite nonnegative number, got {d!r}")
+            require_duration(d, f"run {r}: delta")
 
     @property
     def S(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -76,13 +77,17 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape != (q,):
         raise ValueError(f"b must have shape ({q},), got {b.shape}")
+    params = {"V": V.tolist(), "W": W.tolist(), "b": b.tolist()}
+    # One sum over the entries is NaN or infinite when any entry is; only
+    # then are the terms searched.
+    if not math.isfinite(sum(chain(*params["V"], *params["W"], params["b"]))):
+        _require_finite_terms(V, W, b)
     lip = _op_norm(V) * _op_norm(W)
 
     def evaluate(z, V=V, W=W, b=b):
         z = np.asarray(z, dtype=float)
         return np.maximum(z @ W.T + b, 0.0) @ V.T
 
-    params = {"V": V.tolist(), "W": W.tolist(), "b": b.tolist()}
     pwl = PwlField(np.concatenate((V.T, W, b[:, None]), axis=1)) if n == 1 else None
     rows = [i for i, row in enumerate(V.tolist()) if any(row)]
     cols = [j for j, col in enumerate(zip(*W.tolist())) if any(col)]
@@ -94,6 +99,16 @@ def relu_field(V, W, b, label: str = "relu") -> VectorField:
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=lip, label=label,
                        tag="relu", params=params, exact_flow=exact, pwl=pwl,
                        frozen_drive=set(rows).isdisjoint(cols), drive=drive)
+
+
+def _require_finite_terms(V: np.ndarray, W: np.ndarray, b: np.ndarray) -> None:
+    """Raise a ValueError naming the first term k (V[:, k], W[k], b[k]) with a
+    NaN or infinite entry; a finite sum that overflowed passes."""
+    bad = ~(np.isfinite(V).all(axis=0) & np.isfinite(W).all(axis=1) & np.isfinite(b))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"relu term {k} is not finite: v = {V[:, k].tolist()}, "
+                         f"w = {W[k].tolist()}, b = {float(b[k])!r}")
 
 
 def _relu_exact_flow(V: np.ndarray, W: np.ndarray, b: np.ndarray, pwl: Optional[PwlField],

@@ -206,24 +206,85 @@ def match_points_result(p: PointMatchProblem,
 
 @dataclass(frozen=True)
 class ApproxResult:
+    """A compiled flow map within ``error_budget`` of the target on its domain.
+
+    ``nodes`` are the ends of the partition's cells, or the target's own
+    breakpoints when it carries them; ``node_values`` are the values the
+    schedule interpolates (flats nudged strictly increasing).  Of the
+    accepted cells, ``cells_certified`` met eps/2 by their node increment
+    alone and ``cells_sampled`` by the bound from their interior samples
+    (see ``_partition``); both are 0 when the target's breakpoints were
+    compiled.  ``error_budget`` bounds the sup error on the domain: the
+    largest per-cell bound (at most eps/2) plus the schedule's measured
+    distance from the target's values at the nodes and a few ulps.
+    """
+
     schedule: Schedule
     nodes: np.ndarray
     node_values: np.ndarray
-    mesh: float
-    omega_estimate: float
-    point_tol: float
-
-    @property
-    def error_budget(self) -> float:
-        """Sup-grid error never exceeds omega(mesh) + node tolerance."""
-        return self.omega_estimate + self.point_tol
+    cells_certified: int
+    cells_sampled: int
+    error_budget: float
 
 
-def _estimate_omega(phi, a: float, b: float, pieces: int) -> float:
-    """Empirical modulus of continuity at mesh (b-a)/pieces on a 10x finer grid."""
-    fine = np.linspace(a, b, 10 * pieces + 1)
-    vals = np.asarray(phi(fine), dtype=float)
-    return float(np.max(np.abs(vals[10:] - vals[:-10])))
+# A level samples at most this many gaps in all, so memory stays bounded
+# however small eps is.
+MAX_LEVEL_GAPS = 1 << 18
+
+
+def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
+    """Bisect [a, b] until the interpolant is within eps/2 on every cell.
+
+    Returns the nodes, the largest per-cell bound and the numbers of
+    certified and sampled cells.  ``rise`` is at least the target's increase
+    over [a, b].
+
+    Each level samples every open cell at its ends and evenly between, in
+    one call of fn.  On each gap between two samples y_k <= y_k+1 an
+    increasing target lies between them, and the interpolant between its
+    own values I_k <= I_k+1 there, so max(y_k+1 - I_k, I_k+1 - y_k) bounds
+    the error on the gap.  The largest of these over the cell is its bound,
+    never above its node increment.  A cell is accepted when its bound is at
+    most eps/2: certified when its node increment alone already is, sampled
+    when only its interior samples show it.  Any other cell is bisected.
+    """
+    lo, hi = np.array([a]), np.array([b])
+    done_lo = []
+    max_bound, n_cert, accepted = 0.0, 0, 0
+    while len(lo):
+        # No cell rises more than ``rise``, so with this many gaps none rises
+        # more than eps/4, unless the level's sample budget binds.  The count
+        # is odd, so no interior sample lands on the dyadic probe grid or on
+        # a deeper cell's end.
+        gaps = min(math.ceil(4.0 * rise / eps), MAX_LEVEL_GAPS // len(lo)) | 1
+        t = np.linspace(0.0, 1.0, gaps + 1)
+        x = lo[:, None] + (hi - lo)[:, None] * t
+        x[:, -1] = hi
+        y = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("target is not finite on its domain")
+        # The probe grid misses dips narrower than its spacing; the cells'
+        # own samples may not, and the bound needs an increasing target.
+        if np.any(np.diff(y, axis=1) < -1e-12 * scale):
+            raise NotIncreasingError(
+                "target decreases between the samples of a partition cell; 1D flow "
+                "maps are increasing, so no schedule can approximate it")
+        inc = y[:, -1] - y[:, 0]
+        chord = y[:, :1] + inc[:, None] * t
+        bound = np.maximum(y[:, 1:] - chord[:, :-1], chord[:, 1:] - y[:, :-1]).max(axis=1)
+        ok = bound <= eps / 2.0
+        done_lo.append(lo[ok])
+        max_bound = max(max_bound, float(np.max(bound[ok], initial=0.0)))
+        n_cert += int(np.count_nonzero(inc <= eps / 2.0))
+        accepted += int(np.count_nonzero(ok))
+        lo, hi, rise = lo[~ok], hi[~ok], float(np.max(inc[~ok], initial=0.0))
+        if accepted + 2 * len(lo) > MAX_PARTITION:
+            raise ValueError(f"partition needs more than MAX_PARTITION = {MAX_PARTITION} "
+                             f"cells at eps {eps:g}")
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    nodes = np.append(np.sort(np.concatenate(done_lo)), b)
+    return nodes, max_bound, n_cert, accepted - n_cert
 
 
 def _require_relu_well(well: WellFunction) -> None:
@@ -240,17 +301,19 @@ def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
                       probe_points: int = 1024) -> ApproxResult:
     """Uniformly approximate an increasing continuous target by a flow map.
 
-    Refines the partition until the empirical modulus of continuity is below
-    eps/2, then compiles the nodes' piecewise-linear interpolant exactly with
-    ``compile_pwl_map``.  On each cell the target and the interpolant both
-    lie between the two node values, so the sup error is at most
-    omega(mesh), plus roundoff at the nodes.  Rejects targets that fail the
-    increasing probe, since 1D flow maps (and their limits) are increasing.
+    Bisects the domain's cells until the interpolant is within eps/2 of the
+    target on each, by a bound that holds for any increasing target (see
+    ``_partition``; at most ``MAX_PARTITION`` cells), then compiles the
+    nodes' piecewise-linear interpolant exactly with ``compile_pwl_map``.  A ``Target1D`` that carries ``pwl`` data skips the
+    partition: its own breakpoints are compiled, exact up to roundoff.
+    Rejects targets that fail the increasing probe or whose cell samples
+    decrease, since 1D flow maps (and their limits) are increasing.
     ``well``, if given, must be a 1D ReLU well; the map does not depend on it.
     """
+    pwl = None
     if isinstance(phi, Target1D):
-        if domain is None:
-            domain = phi.domain
+        if domain is None or tuple(map(float, domain)) == phi.domain:
+            domain, pwl = phi.domain, phi.pwl
         fn = phi.fn
     else:
         fn = phi
@@ -261,26 +324,26 @@ def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
         raise ValueError("eps must be positive")
     if well is not None:
         _require_relu_well(well)
-    grid = np.linspace(a, b, probe_points + 1)
-    vals = np.asarray(fn(grid), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.any(np.diff(vals) < -1e-12 * scale):
-        raise NotIncreasingError(
-            "target decreases on the probe grid; 1D flow maps are increasing, "
-            "so no schedule can approximate it")
+    if pwl is not None:
+        if np.any(pwl.slopes <= 0):
+            raise NotIncreasingError("target has a piece of slope <= 0; 1D flow maps "
+                                     "are increasing, so no schedule can approximate it")
+        nodes, max_bound, n_cert, n_sampled = pwl.breakpoints, 0.0, 0, 0
+    else:
+        grid = np.linspace(a, b, probe_points + 1)
+        vals = np.asarray(fn(grid), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("target is not finite on its domain")
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if np.any(np.diff(vals) < -1e-12 * scale):
+            raise NotIncreasingError(
+                "target decreases on the probe grid; 1D flow maps are increasing, "
+                "so no schedule can approximate it")
+        nodes, max_bound, n_cert, n_sampled = _partition(fn, a, b, eps,
+                                                         float(vals[-1] - vals[0]), scale)
 
-    pieces = 4
-    while True:
-        omega = _estimate_omega(fn, a, b, pieces)
-        if omega <= eps / 2.0:
-            break
-        if pieces >= MAX_PARTITION:
-            raise ValueError(f"partition budget exhausted at {pieces} pieces "
-                             f"(omega estimate {omega:.3g} > eps/2)")
-        pieces *= 2
-
-    nodes = np.linspace(a, b, pieces + 1)
-    node_vals = np.asarray(fn(nodes), dtype=float).copy()
+    target_vals = np.asarray(fn(nodes), dtype=float)
+    node_vals = target_vals.copy()
     # Flats in the target give equal node values; nudge them apart by an
     # amount far below the tolerance, and by at least one ulp.
     tiny = max(1e-13, eps * 1e-8)
@@ -289,6 +352,15 @@ def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
         if node_vals[i] <= prev:
             node_vals[i] = max(prev + tiny, np.nextafter(prev, np.inf))
     sched = compile_pwl_map(nodes[1:-1], np.diff(node_vals) / np.diff(nodes),
-                            nodes[0], node_vals[0])
+                            nodes[0], node_vals[0], cover=(a, b))
+    # Up to roundoff the compiled map is affine between the nodes and 0 (the
+    # scaling pair's kink), so its distance from the interpolant peaks at one
+    # of them; the nudge moved the interpolant off the target at the nodes.
+    check = np.union1d(nodes, [0.0]) if a < 0.0 < b else nodes
+    at = flow_eval(sched, check[:, None])[:, 0]
+    roundoff = (float(np.max(np.abs(at - np.interp(check, nodes, node_vals))))
+                + float(np.max(np.abs(node_vals - target_vals)))
+                + 8.0 * float(np.spacing(max(1.0, float(np.max(np.abs(node_vals)))))))
     return ApproxResult(schedule=sched, nodes=nodes, node_values=node_vals,
-                        mesh=(b - a) / pieces, omega_estimate=omega, point_tol=eps / 2.0)
+                        cells_certified=n_cert, cells_sampled=n_sampled,
+                        error_budget=max_bound + roundoff)

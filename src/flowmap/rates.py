@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -215,7 +216,7 @@ def translation_gadget(delta: float, slack: float, lo: float = 0.0, hi: float = 
 
 
 def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
-                    slack: float = 1e-3) -> Schedule:
+                    slack: float = 1e-3, cover: Optional[tuple] = None) -> Schedule:
     """Exact flow realization of an increasing piecewise-linear map on the line.
 
     The map has the given interior ``breakpoints`` and one positive slope per
@@ -226,7 +227,9 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
     first breakpoint and has slope ``slopes[j]`` on region j.  A stage moves
     nothing left of its kink, so each kink is M at its breakpoint, a prefix
     sum of slopes times region widths; M at ``anchor_x`` and at the ends of
-    the gadget's interval come from the same values.
+    the gadget's interval come from the same values.  The gadget is rigid on
+    the image of ``cover`` = (lo, hi) joined with ``anchor_x``; by default
+    +/-(max(|anchor_x|, max |breakpoints|) + 1).
     """
     bp = np.asarray(breakpoints, dtype=float)
     sl = np.asarray(slopes, dtype=float)
@@ -261,8 +264,11 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
 
     delta = anchor_value - float(image(anchor_x))
     if delta != 0.0:
-        reach = max(abs(anchor_x), np.max(np.abs(bp)) if len(bp) else 0.0) + 1.0
-        lo, hi = image(np.array([-reach, reach])).tolist()
+        if cover is None:
+            reach = max(abs(anchor_x), np.max(np.abs(bp)) if len(bp) else 0.0) + 1.0
+            cover = (-reach, reach)
+        ends = np.array([min(cover[0], anchor_x), max(cover[1], anchor_x)], dtype=float)
+        lo, hi = image(ends).tolist()
         # Large shifts need a proportionally larger slack, else the far kink
         # at ~2*delta/slack costs more roundoff than the shift tolerates.
         slack_used = max(slack, abs(delta) / 1e6)

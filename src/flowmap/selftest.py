@@ -110,7 +110,7 @@ def criterion_5_increasing_approx(seed: int = 0) -> dict:
             err = float(np.max(np.abs(out - np.asarray(target.fn(probe)))))
             budget = res.error_budget
             rows.append({"target": name, "eps": eps, "measured": err,
-                         "omega_plus_tol": budget, "steps": len(res.schedule)})
+                         "error_budget": budget, "steps": len(res.schedule)})
             ok = ok and err <= eps and err <= budget
     return {"cases": rows, "passed": bool(ok)}
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from flowmap.cli import main
-from flowmap.core import flow_eval, schedule_from_json
+from flowmap.core import flow_eval, schedule_from_json, schedule_to_json
+from flowmap.oned import approx_increasing
 from flowmap.targets import builtin_target_1d
 
 
@@ -26,7 +28,8 @@ def test_approx1d_artifacts(tmp_path):
     rep = read_json(out / "report.json")
     assert rep["measured_sup_error"] <= 1e-1
     # The reported error covers the midpoints of the construction's own nodes.
-    nodes = np.linspace(0.0, 1.0, rep["nodes"])
+    nodes = approx_increasing(builtin_target_1d("smooth1"), 1e-1).nodes
+    assert len(nodes) == rep["nodes"]
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     got = flow_eval(schedule_from_json(read_json(out / "schedule.json")), mids[:, None])[:, 0]
     assert rep["measured_sup_error"] >= np.max(np.abs(got - builtin_target_1d("smooth1").fn(mids)))
@@ -138,6 +141,56 @@ def test_error_json_on_bad_input(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "NotIncreasingError"
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_set("steps", 0, "params", "b", 0, float("nan")), "relu term 0 is not finite: v = [-1.0], w = [1.0], b = nan"),
+    (_set("steps", 2, "params", "W", 0, 0, float("inf")), "relu term 0 is not finite"),
+    (_set("steps", 1, "params", "V", 0, 0, float("-inf")), "relu term 0 is not finite"),
+    (_set("steps", 0, "tau", "1"), "step duration must be a finite nonnegative number, got '1'"),
+    (_set("steps", 0, "tau", True), "step duration must be a finite nonnegative number, got True"),
+    (_set("steps", 0, "tau", float("nan")), "got nan"),
+    (_set("steps", 0, "tau", float("inf")), "got inf"),
+    (_set("steps", 0, "tau", -0.5), "got -0.5"),
+    (_drop("steps", 0, "tau"), "lacks key 'tau'"),
+    (_drop("steps", 1, "family_tag"), "lack key 'family_tag'"),
+    (_drop("steps", 1, "params", "b"), "lack key 'b'"),
+    (_drop("dim"), "lacks key 'dim'"),
+], ids=["nan_b", "inf_w", "neg_inf_v", "str_tau", "bool_tau", "nan_tau", "inf_tau",
+        "negative_tau", "no_tau", "no_family_tag", "no_b", "no_dim"])
+def test_malformed_schedule_rejected_by_library_and_verify(tmp_path, capsys, mutate, match):
+    # A NaN kink once dropped its term from the exact kernel: verify exited 0
+    # with a sup error of 3.0 on this schedule.
+    doc = json.loads(json.dumps(schedule_to_json(
+        approx_increasing(builtin_target_1d("pwl4"), 1e-2).schedule)))
+    mutate(doc)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        schedule_from_json(doc)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity literals, as json reads them
+    rc = main(["verify", "--schedule", str(path), "--target", "builtin:pwl4",
+               "--out", str(tmp_path / "v")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and match in err["message"]
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):

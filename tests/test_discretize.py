@@ -408,11 +408,15 @@ class TestExportValidation:
         (lambda doc: doc["runs"][0].pop("delta"), "lacks key 'delta'"),
         (lambda doc: doc["runs"][0].update(delta="0.125"),
          "run 0: delta must be a finite nonnegative number, got '0.125'"),
+        (lambda doc: doc["runs"][0].update(delta=True),
+         "run 0: delta must be a finite nonnegative number, got True"),
+        (lambda doc: doc["runs"][1].update(delta=float("nan")),
+         "run 1: delta must be a finite nonnegative number, got nan"),
         (lambda doc: doc["meta"].update(S=2), "meta.S=2 but the runs hold 8 layers"),
         (_as_format_1,
          "unsupported export format 1; re-run `flowmap discretize` to write format 2"),
-    ], ids=["zero_layers", "float_layers", "no_delta", "string_delta", "S_counts_runs",
-            "format_1"])
+    ], ids=["zero_layers", "float_layers", "no_delta", "string_delta", "bool_delta",
+            "nan_delta", "S_counts_runs", "format_1"])
     def test_malformed_export_rejected(self, mutate, match):
         doc = export_to_json(euler_discretize(Schedule(((LIN, 0.25), (LIN, 0.75)), 1), 8))
         assert [run["layers"] for run in doc["runs"]] == [2, 6]

@@ -10,8 +10,9 @@ from flowmap.core import IntegratorConfig, Schedule, flow_eval
 from flowmap.families import (OutsideSign, WellFunction, generic_field, negated_field,
                               relu_well_1d, sigmoid_smn, sigmoid_soft_threshold,
                               soft_threshold_well_1d)
-from flowmap.oned import (NotIncreasingError, PointMatchProblem, TransportError,
-                          approx_increasing, match_points_result, transport_time)
+from flowmap.oned import (MAX_PARTITION, NotIncreasingError, PointMatchProblem,
+                          TransportError, approx_increasing, match_points_result,
+                          transport_time)
 from flowmap.targets import PwlData, builtin_target_1d
 from flowmap.util import sup_probe_points
 from helpers import RK12
@@ -138,7 +139,7 @@ class TestApproxIncreasing:
         def no_partition(*args, **kwargs):
             raise AssertionError("partition search started")
 
-        monkeypatch.setattr("flowmap.oned._estimate_omega", no_partition)
+        monkeypatch.setattr("flowmap.oned._partition", no_partition)
         with pytest.raises(ValueError, match="soft_threshold is not one"):
             approx_increasing(builtin_target_1d("smooth1"), 5e-2, soft_threshold_well_1d())
 
@@ -164,7 +165,7 @@ class TestApproxIncreasing:
         def no_partition(*args, **kwargs):
             raise AssertionError("partition search started")
 
-        monkeypatch.setattr("flowmap.oned._estimate_omega", no_partition)
+        monkeypatch.setattr("flowmap.oned._partition", no_partition)
         _forbid_field_builds(monkeypatch)
         well = _generic_well(lambda x: sigmoid_smn(200, 14, x), (-1.0, 1.0), "smn")
         with pytest.raises(ValueError, match="smn has no piece tables"):
@@ -193,6 +194,45 @@ class TestApproxIncreasing:
         out = flow_eval(res.schedule, grid[:, None])[:, 0]
         assert float(np.max(np.abs(out - plateau(grid)))) <= 0.1
 
+    def test_dip_between_probe_points_rejected(self):
+        # A dip of depth 0.2 and half-width 3e-4 halfway between two points
+        # of the 1024-cell probe grid (4.9e-4 from each) passes the probe.
+        # At eps 1e-3 the first cell's samples lie at most 2.5e-4 apart, so
+        # one of them falls inside the dip and sees the decrease.
+        center = 307.5 / 1024
+
+        def dip(x):
+            x = np.asarray(x, dtype=float)
+            return x - 0.2 * np.maximum(0.0, 1.0 - np.abs(x - center) / 3e-4)
+
+        probe = np.linspace(0.0, 1.0, 1025)
+        assert np.all(np.diff(dip(probe)) > 0)
+        with pytest.raises(NotIncreasingError, match="partition cell"):
+            approx_increasing(dip, 1e-3, domain=(0.0, 1.0))
+
+    def test_partition_cap_named(self):
+        # Interpolation error is about h^2 / 8 |phi''|: eps 1e-12 needs
+        # far more than MAX_PARTITION cells on smooth1.
+        with pytest.raises(ValueError, match=f"MAX_PARTITION = {MAX_PARTITION} cells at eps 1e-12"):
+            approx_increasing(builtin_target_1d("smooth1"), 1e-12)
+
+    def test_smooth_target_partition_is_adaptive(self):
+        # Refining only the cells that need it: 17 steps here, where a
+        # uniform partition refined by an empirical modulus took 1025.
+        res = approx_increasing(builtin_target_1d("smooth1"), 5e-3)
+        assert len(res.schedule) <= 40
+        assert res.cells_certified + res.cells_sampled == len(res.nodes) - 1
+
+    @pytest.mark.parametrize("name", ["smooth1", "quad", "identity", "pwl4", "mono_tv1"])
+    def test_builtin_targets_at_eps_1e_4(self, name):
+        target = builtin_target_1d(name)
+        res = approx_increasing(target, 1e-4)
+        probe = sup_probe_points(res.nodes, 0)
+        out = flow_eval(res.schedule, probe[:, None])[:, 0]
+        err = float(np.max(np.abs(out - target.fn(probe))))
+        assert res.error_budget <= 0.5e-4
+        assert err <= min(1e-4, res.error_budget)
+
 
 @st.composite
 def increasing_targets(draw):
@@ -219,7 +259,7 @@ def increasing_targets(draw):
 
 class TestCompiledInterpolant:
     """approx_increasing compiles the node interpolant: exact at the nodes up
-    to roundoff, and within omega(mesh) of the target between them."""
+    to roundoff, and within each cell's bound of the target between them."""
 
     @staticmethod
     def _check(res, fn, eps, seed=0):
@@ -263,12 +303,30 @@ class TestCompiledInterpolant:
         assert t1 + t2 == pytest.approx(1e4 / 1e6, rel=1e-6)
 
     def test_pwl_target_compiles_to_a_handful_of_steps(self):
-        target = builtin_target_1d("pwl4")
-        res = approx_increasing(target, 1e-3)
-        assert len(res.schedule) <= 8
-        probe = sup_probe_points(res.nodes, 0)
-        out = flow_eval(res.schedule, probe[:, None])[:, 0]
-        assert float(np.max(np.abs(out - target.fn(probe)))) <= 1e-12
+        # Its own breakpoints, with no partition: one scaling pair and one
+        # stage per change of slope (identity: none at all).
+        for name, steps in (("identity", 0), ("pwl4", 5)):
+            target = builtin_target_1d(name)
+            for eps in (1e-3, 1e-4):
+                res = approx_increasing(target, eps)
+                assert len(res.schedule) == steps
+                np.testing.assert_array_equal(res.nodes, target.pwl.breakpoints)
+                assert res.cells_certified == res.cells_sampled == 0
+                probe = sup_probe_points(res.nodes, 0)
+                out = flow_eval(res.schedule, probe[:, None])[:, 0]
+                assert float(np.max(np.abs(out - target.fn(probe)))) <= 1e-12
+
+    @pytest.mark.parametrize("fn,eps,domain", [
+        # A domain end more than 1 past the last interior breakpoint: the
+        # translation gadget once missed node 10 by 7.5e-4.
+        (lambda x: x - 3 + 1e-4 * np.asarray(x, dtype=float) ** 2, 6.0, (0.0, 10.0)),
+        # A one-cell partition on (0, 2), its end node past the old reach.
+        (lambda x: 2.0 * np.asarray(x, dtype=float) - 1.0, 0.05, (0.0, 2.0)),
+    ])
+    def test_gadget_covers_the_domain(self, fn, eps, domain):
+        res = approx_increasing(fn, eps, domain=domain)
+        assert res.nodes[-1] == domain[1]
+        self._check(res, fn, eps)
 
     def test_flat_piece_nudged_by_at_least_one_ulp(self):
         # At 1e6 one ulp is about 1.2e-10, above the nudge of eps * 1e-8 =

@@ -216,6 +216,14 @@ class TestCompilePwlMap:
         out = flow_eval(sched, xs[:, None])[:, 0]
         np.testing.assert_allclose(out, np.interp(xs, knots, vals), rtol=0, atol=1e-9)
 
+    def test_gadget_covers_the_given_interval(self):
+        # With no breakpoints the default reach is |anchor_x| + 1 = 1, so x = 2
+        # lies beyond the rigid part of the shift unless the interval is given.
+        xs = np.array([0.0, 1.0, 2.0])
+        sched = compile_pwl_map([], [2.0], 0.0, -1.0, cover=(0.0, 2.0))
+        out = flow_eval(sched, xs[:, None])[:, 0]
+        np.testing.assert_allclose(out, 2.0 * xs - 1.0, rtol=0, atol=1e-9)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             compile_pwl_map([0.0], [1.0], 0.0, 0.0)
