@@ -304,8 +304,9 @@ def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
     Bisects the domain's cells until the interpolant is within eps/2 of the
     target on each, by a bound that holds for any increasing target (see
     ``_partition``; at most ``MAX_PARTITION`` cells), then compiles the
-    nodes' piecewise-linear interpolant exactly with ``compile_pwl_map``.  A ``Target1D`` that carries ``pwl`` data skips the
-    partition: its own breakpoints are compiled, exact up to roundoff.
+    nodes' piecewise-linear interpolant exactly with ``compile_pwl_map``.
+    A ``Target1D`` that carries ``pwl`` data skips the partition: its own
+    breakpoints are compiled, exact up to roundoff.
     Rejects targets that fail the increasing probe or whose cell samples
     decrease, since 1D flow maps (and their limits) are increasing.
     ``well``, if given, must be a 1D ReLU well; the map does not depend on it.

@@ -451,6 +451,14 @@ class TestScheduleSerialization:
         shear = shear_schedule(Schedule(((f, taus[2]),), 1), 0, 1, 2, sign)
         assert_round_trip_bit_faithful(tensor_steps.then(shear))
 
+    def test_non_finite_tensor_inner_rejected(self):
+        # The tensor builder rebuilds its inner field through relu_field.
+        doc = schedule_to_json(Schedule(((tensor_field(field_from_terms_1d(
+            [(1.0, 1.0, -0.5), (-1.0, 1.0, -0.75)]), 2), 0.5),), 2))
+        doc["steps"][0]["params"]["inner"]["params"]["b"][1] = float("nan")
+        with pytest.raises(ValueError, match=r"relu term 1 is not finite: v = \[-1.0\]"):
+            schedule_from_json(json.loads(json.dumps(doc)))
+
     def test_unserializable_field_raises(self):
         f = generic_field(lambda z: z, 1, 1.0, "anon")
         with pytest.raises(ValueError):

@@ -217,7 +217,7 @@ class TestApproxIncreasing:
             approx_increasing(builtin_target_1d("smooth1"), 1e-12)
 
     def test_smooth_target_partition_is_adaptive(self):
-        # Refining only the cells that need it: 17 steps here, where a
+        # Refining only the cells that need it: 12 steps here, where a
         # uniform partition refined by an empirical modulus took 1025.
         res = approx_increasing(builtin_target_1d("smooth1"), 5e-3)
         assert len(res.schedule) <= 40
@@ -315,6 +315,15 @@ class TestCompiledInterpolant:
                 probe = sup_probe_points(res.nodes, 0)
                 out = flow_eval(res.schedule, probe[:, None])[:, 0]
                 assert float(np.max(np.abs(out - target.fn(probe)))) <= 1e-12
+
+    def test_kinks_between_samples_stay_within_budget(self):
+        # Two kinks inside the first sample gap of a rule that samples 11
+        # points per cell: all 11 lie on the chord 2x, yet the target is
+        # 1/64 below it at x = 1/64.  A bound read from the deviation at the
+        # samples alone would be 0 here.
+        fn = PwlData(np.array([0.0, 1 / 64, 1 / 32, 1.0]), np.array([1.0, 3.0, 2.0]), 0.0)
+        res = approx_increasing(fn, 0.05, domain=(0.0, 1.0))
+        self._check(res, fn, 0.05)
 
     @pytest.mark.parametrize("fn,eps,domain", [
         # A domain end more than 1 past the last interior breakpoint: the
