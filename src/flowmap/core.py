@@ -40,7 +40,6 @@ __all__ = [
     "schedule_to_json",
     "schedule_from_json",
     "register_family",
-    "require_duration",
 ]
 
 BLOWUP_LIMIT = 1e12
