@@ -282,6 +282,11 @@ def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
             raise ValueError(f"partition needs more than MAX_PARTITION = {MAX_PARTITION} "
                              f"cells at eps {eps:g}")
         mid = 0.5 * (lo + hi)
+        stuck = (mid <= lo) | (mid >= hi)
+        if stuck.any():
+            k = int(np.argmax(stuck))
+            raise ValueError(f"cell [{float(lo[k])!r}, {float(hi[k])!r}] cannot be bisected at eps {eps:g}; "
+                             "is the target continuous there?")
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     nodes = np.append(np.sort(np.concatenate(done_lo)), b)
     return nodes, max_bound, n_cert, accepted - n_cert

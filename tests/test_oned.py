@@ -216,6 +216,17 @@ class TestApproxIncreasing:
         with pytest.raises(ValueError, match=f"MAX_PARTITION = {MAX_PARTITION} cells at eps 1e-12"):
             approx_increasing(builtin_target_1d("smooth1"), 1e-12)
 
+    def test_jump_named_when_its_cell_cannot_be_bisected(self):
+        def step(x):
+            x = np.asarray(x, dtype=float)
+            return x + (x > 0.5)
+
+        # Halving the cell (0.5, 1/2 + 2^-k] that holds the jump reaches one
+        # ulp of 0.5 at the 53rd level, and stops there by name.
+        with pytest.raises(ValueError, match=r"cell \[0\.5, 0\.5000000000000001\] cannot be "
+                                             r"bisected at eps 0\.1; is the target continuous"):
+            approx_increasing(step, 0.1, domain=(0.0, 1.0))
+
     def test_smooth_target_partition_is_adaptive(self):
         # Refining only the cells that need it: 12 steps here, where a
         # uniform partition refined by an empirical modulus took 1025.
