@@ -275,7 +275,7 @@ def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
         ok = bound <= eps / 2.0
         done_lo.append(lo[ok])
         max_bound = max(max_bound, float(np.max(bound[ok], initial=0.0)))
-        n_cert += int(np.count_nonzero(inc <= eps / 2.0))
+        n_cert += int(np.count_nonzero(ok & (inc <= eps / 2.0)))
         accepted += int(np.count_nonzero(ok))
         lo, hi, rise = lo[~ok], hi[~ok], float(np.max(inc[~ok], initial=0.0))
         if accepted + 2 * len(lo) > MAX_PARTITION:
@@ -285,8 +285,8 @@ def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
         stuck = (mid <= lo) | (mid >= hi)
         if stuck.any():
             k = int(np.argmax(stuck))
-            raise ValueError(f"cell [{float(lo[k])!r}, {float(hi[k])!r}] cannot be bisected at eps {eps:g}; "
-                             "is the target continuous there?")
+            raise ValueError(f"cell [{float(lo[k])!r}, {float(hi[k])!r}] cannot be bisected "
+                             f"at eps {eps:g}; is the target continuous there?")
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     nodes = np.append(np.sort(np.concatenate(done_lo)), b)
     return nodes, max_bound, n_cert, accepted - n_cert

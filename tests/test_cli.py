@@ -162,7 +162,8 @@ def _drop(*path):
 
 
 @pytest.mark.parametrize("mutate, match", [
-    (_set("steps", 0, "params", "b", 0, float("nan")), "relu term 0 is not finite: v = [-1.0], w = [1.0], b = nan"),
+    (_set("steps", 0, "params", "b", 0, float("nan")),
+     "relu term 0 is not finite: v = [-1.0], w = [1.0], b = nan"),
     (_set("steps", 2, "params", "W", 0, 0, float("inf")), "relu term 0 is not finite"),
     (_set("steps", 1, "params", "V", 0, 0, float("-inf")), "relu term 0 is not finite"),
     (_set("steps", 0, "tau", "1"), "step duration must be a finite nonnegative number, got '1'"),
