@@ -114,6 +114,10 @@ class Schedule:
     dim: int
 
     def __post_init__(self):
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
+                or self.dim < 1):
+            raise ValueError(f"schedule dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         steps = tuple((f, require_duration(t, "step duration")) for f, t in self.steps)
         object.__setattr__(self, "steps", steps)
         for f, _ in steps:
@@ -378,8 +382,20 @@ def field_to_json(f: VectorField) -> dict:
     return {"family_tag": f.tag, "params": f.params}
 
 
+def _require_json_type(value, kind: type, what: str) -> None:
+    """Raise a ValueError naming ``what`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{what} must be {name}, got {type(value).__name__}") from None
+
+
 def field_from_json(doc: dict) -> VectorField:
-    """Field from its {family_tag, params} document; a missing key is a ValueError."""
+    """Field from its {family_tag, params} document.
+
+    A missing key, or a document, tag or params of the wrong JSON type, is a
+    ValueError naming it.  Types are checked only after a TypeError, so a
+    well-formed document pays nothing for them.
+    """
     try:
         tag, params = doc["family_tag"], doc["params"]
         if tag not in _FAMILY_REGISTRY:
@@ -388,6 +404,11 @@ def field_from_json(doc: dict) -> VectorField:
         return _FAMILY_REGISTRY[tag](params)
     except KeyError as e:
         raise ValueError(f"field document or its params lack key {e}") from None
+    except TypeError:
+        _require_json_type(doc, dict, "field document")
+        _require_json_type(doc["family_tag"], str, "field key 'family_tag'")
+        _require_json_type(doc["params"], dict, "field key 'params'")
+        raise
 
 
 def schedule_to_json(sched: Schedule) -> dict:
@@ -403,9 +424,18 @@ def schedule_to_json(sched: Schedule) -> dict:
 
 
 def schedule_from_json(doc: dict) -> Schedule:
+    """Schedule from its {dim, steps} document.
+
+    A missing key, or a document, ``steps`` list, step or params of the
+    wrong JSON type, is a ValueError naming it (see ``field_from_json``).
+    """
     try:
+        _require_json_type(doc["steps"], list, "schedule key 'steps'")
         steps = tuple((field_from_json(s), s["tau"]) for s in doc["steps"])
         dim = doc["dim"]
     except KeyError as e:
         raise ValueError(f"schedule document or step lacks key {e}") from None
+    except TypeError:
+        _require_json_type(doc, dict, "schedule document")
+        raise
     return Schedule(steps, dim)

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -50,8 +51,8 @@ class PwlField:
     Attributes
     ----------
     terms:
-        (k, 3) array of (v, w, b) triples.  Terms with w == 0 contribute the
-        constant v * relu(b).
+        (k, 3) array of finite (v, w, b) triples.  Terms with w == 0
+        contribute the constant v * relu(b).
     fixes_kinks:
         True when the velocity is exactly 0.0 on both sides of every kink (no
         tolerance), so the flow is an increasing piecewise-linear map; true
@@ -71,6 +72,12 @@ class PwlField:
         # finite).  Piece j covers (kinks[j-1], kinks[j]), j = 0..len(kinks),
         # and a term is active on it when positive at the piece's probe.
         rows = terms.tolist()
+        # One sum is NaN or infinite when any entry is; only then are the
+        # terms searched.  A finite sum that overflowed passes.
+        if not math.isfinite(sum(chain.from_iterable(rows))):
+            for k, row in enumerate(rows):
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"pwl term {k} is not finite: (v, w, b) = {tuple(row)}")
         live = [(v, w, b) for v, w, b in rows if w != 0.0]
         base = _ordered_sum([v * max(b, 0.0) for v, w, b in rows if w == 0.0])
         kinks = sorted({k for k in (-b / w for _, w, b in live) if math.isfinite(k)})

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Schedule, flow_eval
+from .core import Schedule
 from .families import field_from_terms_1d
 from .targets import Target1D
 
@@ -163,6 +163,13 @@ def _relu_stage(sign: float, kink: float):
     return field_from_terms_1d([(float(sign), 1.0, -float(kink))], label="stage")
 
 
+def _prefix_images(breakpoints: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """phi(x) = int_0^x exp(u) at the knots [0, breakpoints, 1] for pwc u:
+    prefix sums of piece widths times exp(values)."""
+    widths = np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
+    return np.concatenate([[0.0], np.cumsum(widths * np.exp(values))])
+
+
 def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
                            slack: float = 0.01) -> Schedule:
     """Exact flow-map realization of an increasing target with pwc ln(phi').
@@ -177,8 +184,7 @@ def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
     Total stage time equals the decomposition cost (the extended TV).
     """
     dec = profile_to_jumps(profile)
-    widths = np.diff(np.concatenate([[0.0], profile.breakpoints, [1.0]]))
-    img = np.concatenate([[0.0], np.cumsum(widths * np.exp(profile.values))])
+    img = _prefix_images(profile.breakpoints, profile.values)
     steps = tuple((_relu_stage(math.copysign(1.0, a), kink), abs(a))
                   for (_, a), kink in zip(dec.jumps, img.tolist()) if a != 0.0)
     sched = Schedule(steps, 1)
@@ -340,7 +346,11 @@ def gamma_relaxed(profile: LogDerivativeProfile, T: float) -> GammaResult:
 
     Closed forms for monotone and single-peak u; otherwise an upper bound via
     projection of u onto the tube of feasible functions (reported as a bound,
-    not an optimum).
+    not an optimum).  The single-peak form (tv - T) / 4 lowers the peak and
+    raises both ends; under the extended convention an end that cannot rise
+    past zero saves nothing, so when the lazy path through that tube costs
+    more than T the radius is searched up from it and reported as a bound.
+    Either way the value is the radius ``budgeted_schedule`` quantizes with.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -349,7 +359,10 @@ def gamma_relaxed(profile: LogDerivativeProfile, T: float) -> GammaResult:
     if profile.is_monotone():
         return GammaResult(max(0.0, 0.5 * (profile.tv - T)), True, "monotone")
     if profile.is_unimodal():
-        return GammaResult(max(0.0, 0.25 * (profile.tv - T)), True, "unimodal")
+        g = max(0.0, 0.25 * (profile.tv - T))
+        if _extended_tv(_lazy_tube_path(profile.values, g)) <= T + 1e-9:
+            return GammaResult(g, True, "unimodal")
+        return GammaResult(_tube_radius(profile.values, T, g), False, "tube_bound")
     return GammaResult(_tube_radius(profile.values, T, 0.0), False, "tube_bound")
 
 
@@ -370,32 +383,9 @@ def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> Budget
     quantized profile exactly, then translates to the anchor.
     """
     profile = _pwc_profile(target)
-    return _budgeted(target, profile, gamma_relaxed(profile, T), T, slack)
-
-
-def _pwc_profile(target: Target1D) -> LogDerivativeProfile:
-    profile = tv_log_derivative(target)
-    if profile.kind != "pwc":
-        raise ValueError("budgeted construction requires a piecewise-linear target")
-    return profile
-
-
-def _budgeted(target: Target1D, profile: LogDerivativeProfile, res: GammaResult,
-              T: float, slack: float) -> BudgetedApproximation:
-    """``budgeted_schedule`` from the target's pwc profile and its gamma at T."""
-    g = res.value
-    u = profile.values
-    if profile.is_monotone():
-        v = np.sign(u) * np.maximum(np.abs(u) - g, 0.0)
-    else:
-        v = _lazy_tube_path(u, g)
+    g = gamma_relaxed(profile, T).value
+    v = _quantize(profile, g)
     vtv = _extended_tv(v)
-    if vtv > T + 1e-9:
-        # Closed form can be infeasible for the extended convention on
-        # non-monotone shapes; fall back to the tube projection.
-        g = _tube_radius(u, T, g)
-        v = _lazy_tube_path(u, g)
-        vtv = _extended_tv(v)
     qprofile = LogDerivativeProfile(kind="pwc", breakpoints=profile.breakpoints,
                                     values=v, tv=vtv,
                                     tv_interior=math.fsum(abs(d) for d in np.diff(v)),
@@ -406,18 +396,41 @@ def _budgeted(target: Target1D, profile: LogDerivativeProfile, res: GammaResult,
                                  quantized_tv=vtv, budget=T)
 
 
-def rate_sweep(target: Target1D, budgets, grid: int = 2048, slack: float = 0.01):
-    """Rows (T, gamma, bound, measured sup error) for a budget sweep."""
+def _pwc_profile(target: Target1D) -> LogDerivativeProfile:
+    profile = tv_log_derivative(target)
+    if profile.kind != "pwc":
+        raise ValueError("budgeted construction requires a piecewise-linear target")
+    return profile
+
+
+def _quantize(profile: LogDerivativeProfile, g: float) -> np.ndarray:
+    """Log-slopes v within g of u: monotone u shrunk toward zero by g, any
+    other u along the lazy path through the g-tube.  At g from
+    ``gamma_relaxed`` at T, the extended TV of v is at most T."""
+    u = profile.values
+    if profile.is_monotone():
+        return np.sign(u) * np.maximum(np.abs(u) - g, 0.0)
+    return _lazy_tube_path(u, g)
+
+
+def rate_sweep(target: Target1D, budgets):
+    """Rows (T, gamma, bound, measured sup error) for a budget sweep.
+
+    ``measured`` is the exact sup over [0, 1] of |M - phi|, M being the map
+    that ``budgeted_schedule(target, T)`` compiles, up to the roundoff of its
+    flow.  M and phi are both piecewise linear with every breakpoint among
+    the knots [0, target breakpoints, 1], so the sup is attained at a knot,
+    where M is phi(0) plus the prefix sum that ``compile_heaviside_flow``
+    places its kinks at.  No schedule is built or flowed.
+    """
     profile = _pwc_profile(target)
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    ref = np.asarray(target.fn(xs), dtype=float)
+    knots = np.concatenate([[0.0], profile.breakpoints, [1.0]])
+    ref = np.asarray(target.fn(knots), dtype=float)
     rows = []
     for T in budgets:
-        res = gamma_relaxed(profile, float(T))
-        g = res.value
+        g = gamma_relaxed(profile, float(T)).value
         bound = float(math.expm1(g) * profile.max_slope())
-        built = _budgeted(target, profile, res, float(T), slack)
-        out = flow_eval(built.schedule, xs[:, None])[:, 0]
-        measured = float(np.max(np.abs(out - ref)))
+        img = ref[0] + _prefix_images(profile.breakpoints, _quantize(profile, g))
+        measured = float(np.max(np.abs(img - ref)))
         rows.append({"T": float(T), "gamma": g, "bound": bound, "measured": measured})
     return rows

@@ -18,7 +18,7 @@ from .core import IntegratorConfig, Schedule, flow_eval
 from .discretize import euler_discretize, resnet_forward, truncation_slope
 from .highd import approximate_lp, build_grid_target, separate_points, transport_points
 from .oned import PointMatchProblem, approx_increasing, match_points_result
-from .rates import compile_heaviside_flow, rate_sweep, tv_log_derivative
+from .rates import budgeted_schedule, compile_heaviside_flow, rate_sweep, tv_log_derivative
 from .splitting import average_flow_schedule
 from .targets import PwlData, Target1D, builtin_target_1d, builtin_target_nd
 from .tensor import shear_parts, tensor_transport
@@ -143,7 +143,9 @@ def criterion_6_rate_exactness(seed: int = 0) -> dict:
 
 
 def criterion_7_budgeted_error(seed: int = 0) -> dict:
-    """Monotone-u target with tv = 1: sweep T, measured <= bound; zero at T = 1."""
+    """Monotone-u target with tv = 1: sweep T, measured <= bound; zero at T = 1,
+    for the compiled map and for the flow of the exported schedule, probed
+    between the target's breakpoints too (see sup_probe_points)."""
     target = builtin_target_1d("mono_tv1")
     profile = tv_log_derivative(target)
     rows = rate_sweep(target, [0.25, 0.5, 0.75, 1.0])
@@ -153,7 +155,12 @@ def criterion_7_budgeted_error(seed: int = 0) -> dict:
         ok = ok and abs(row["gamma"] - gamma_expect) < 1e-12
         ok = ok and row["measured"] <= row["bound"] * 1.001 + 1e-12
     ok = ok and rows[-1]["measured"] <= 1e-9
-    return {"tv": profile.tv, "rows": rows, "passed": bool(ok)}
+    probe = sup_probe_points(target.pwl.breakpoints, seed)
+    out = flow_eval(budgeted_schedule(target, profile.tv).schedule, probe[:, None])[:, 0]
+    flow_err = float(np.max(np.abs(out - np.asarray(target.fn(probe)))))
+    ok = ok and flow_err <= 1e-9
+    return {"tv": profile.tv, "rows": rows, "flow_sup_error_at_tv": flow_err,
+            "passed": bool(ok)}
 
 
 def criterion_8_nd_pipeline(seed: int = 0, mc_samples: int = 100_000) -> dict:

@@ -175,8 +175,14 @@ def _drop(*path):
     (_drop("steps", 1, "family_tag"), "lack key 'family_tag'"),
     (_drop("steps", 1, "params", "b"), "lack key 'b'"),
     (_drop("dim"), "lacks key 'dim'"),
+    (_set("dim", "1"), "schedule dim must be an integer >= 1, got '1'"),
+    (_set("dim", True), "schedule dim must be an integer >= 1, got True"),
+    (_set("steps", 3), "schedule key 'steps' must be a list, got int"),
+    (_set("steps", 1, 3), "field document must be an object, got int"),
+    (_set("steps", 0, "params", [1.0]), "field key 'params' must be an object, got list"),
 ], ids=["nan_b", "inf_w", "neg_inf_v", "str_tau", "bool_tau", "nan_tau", "inf_tau",
-        "negative_tau", "no_tau", "no_family_tag", "no_b", "no_dim"])
+        "negative_tau", "no_tau", "no_family_tag", "no_b", "no_dim", "str_dim", "bool_dim",
+        "int_steps", "int_step", "list_params"])
 def test_malformed_schedule_rejected_by_library_and_verify(tmp_path, capsys, mutate, match):
     # A NaN kink once dropped its term from the exact kernel: verify exited 0
     # with a sup error of 3.0 on this schedule.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -480,6 +481,28 @@ class TestValidation:
             Schedule(((f, -1.0),), 1)
         with pytest.raises(ValueError):
             Schedule(((f, 1.0),), 2)
+
+    @pytest.mark.parametrize("dim", ["1", True, 1.0, 0, -1, None])
+    def test_schedule_dim_must_be_positive_int(self, dim):
+        with pytest.raises(ValueError, match="schedule dim must be an integer >= 1"):
+            Schedule((), dim)
+        with pytest.raises(ValueError, match="schedule dim must be an integer >= 1"):
+            schedule_from_json({"dim": dim, "steps": []})
+        assert type(Schedule((), np.int64(2)).dim) is int
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], "schedule document must be an object, got list"),
+        ({"dim": 1, "steps": 1}, "schedule key 'steps' must be a list, got int"),
+        ({"dim": 1, "steps": {"tau": 1.0}}, "schedule key 'steps' must be a list, got dict"),
+        ({"dim": 1, "steps": [7]}, "field document must be an object, got int"),
+        ({"dim": 1, "steps": [{"family_tag": "relu", "params": [1.0], "tau": 1.0}]},
+         "field key 'params' must be an object, got list"),
+        ({"dim": 1, "steps": [{"family_tag": ["relu"], "params": {}, "tau": 1.0}]},
+         "field key 'family_tag' must be a string, got list"),
+    ], ids=["doc_list", "steps_int", "steps_dict", "step_int", "params_list", "tag_list"])
+    def test_schedule_document_layout(self, doc, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            schedule_from_json(doc)
 
     def test_total_time(self):
         f = field_from_terms_1d([(1.0, 1.0, 0.0)])

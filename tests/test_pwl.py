@@ -6,6 +6,7 @@ that cross kinks, park on equilibria, and start exactly on kinks.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,22 @@ class TestFieldAlgebra:
         assert np.array_equal(p._kinks, kinks)
         assert np.array_equal(p._slope, slope)
         assert np.array_equal(p._icept, icept)
+
+    @pytest.mark.parametrize("bad, k, entry", [
+        ((math.nan, 1.0, 0.0), 1, "(nan, 1.0, 0.0)"),
+        ((1.0, 1.0, math.nan), 1, "(1.0, 1.0, nan)"),
+        ((1.0, math.inf, 0.0), 1, "(1.0, inf, 0.0)"),
+    ], ids=["nan_v", "nan_b", "inf_w"])
+    def test_non_finite_term_rejected(self, bad, k, entry):
+        # A NaN b once dropped its kink from the exact kernel, so the flow of
+        # [(1, 1, nan), (1, 1, 0)] from 0.5 over time 1 returned 1.359.
+        with pytest.raises(ValueError, match=re.escape(f"pwl term {k} is not finite: "
+                                                       f"(v, w, b) = {entry}")):
+            PwlField([(1.0, 1.0, 0.0), bad, (0.5, 0.0, 1.0)])
+
+    def test_zero_w_term_still_legal(self):
+        p = PwlField([(0.5, 0.0, 2.0), (1.0, 1.0, 0.0)])
+        assert p(np.array([-1.0, 1.0])).tolist() == [1.0, 2.0]
 
     def test_negative_tau_rejected(self):
         p = PwlField([(1.0, 1.0, 0.0)])

@@ -245,11 +245,25 @@ class TestGammaRelaxed:
         assert res.optimal and res.kind == "monotone"
 
     def test_unimodal_closed_form(self):
-        target = pwl_target([0.0, 1 / 3, 2 / 3, 1.0], np.exp([0.2, 0.6, 0.1]))
+        # Both ends of the peak move by gamma: the first end is negative, the
+        # last one within gamma of zero, so the lazy tube path costs tv - 4 gamma.
+        target = pwl_target([0.0, 1 / 3, 2 / 3, 1.0], np.exp([-0.5, 0.6, 0.1]))
         p = tv_log_derivative(target)
         res = gamma_relaxed(p, p.tv - 1.0)
         assert res.value == pytest.approx(0.25, abs=1e-12)
-        assert res.kind == "unimodal"
+        assert res.optimal and res.kind == "unimodal"
+
+    def test_unimodal_quarter_form_infeasible_searches_tube(self):
+        # All of u is positive, so only the peak can move: the extended TV is
+        # 2 (0.6 - gamma), and T = tv - 1 = 0.2 needs gamma = 0.5, not 0.25.
+        target = pwl_target([0.0, 1 / 3, 2 / 3, 1.0], np.exp([0.2, 0.6, 0.1]))
+        p = tv_log_derivative(target)
+        T = p.tv - 1.0
+        res = gamma_relaxed(p, T)
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert not res.optimal and res.kind == "tube_bound"
+        built = budgeted_schedule(target, T)
+        assert built.gamma == res.value and built.quantized_tv <= T + 1e-9
 
     def test_general_profile_flagged_as_bound(self):
         # down-up-down shape is neither monotone nor single-peak
@@ -275,6 +289,39 @@ class TestGammaRelaxed:
         assert rates._tube_radius(u, frac * tv, 0.0) == _tube_radius_reference(u, frac * tv, 0.0)
 
 
+@st.composite
+def random_sweep_targets(draw):
+    """Increasing PWL targets on [0, 1] with 1-40 pieces and anchors in
+    [-1, 1]; ln(phi') is drawn sorted (monotone), as one peak, or as is."""
+    pieces = draw(st.integers(1, 40))
+    widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=pieces, max_size=pieces)))
+    u = draw(st.lists(st.floats(-1.5, 1.5), min_size=pieces, max_size=pieces))
+    shape = draw(st.sampled_from(["monotone", "peak", "any"]))
+    if shape == "monotone":
+        u = sorted(u, reverse=draw(st.booleans()))
+    elif shape == "peak":
+        k = draw(st.integers(0, pieces))
+        u = sorted(u[:k]) + sorted(u[k:], reverse=True)
+    breaks = np.concatenate([[0.0], np.cumsum(widths)[:-1] / np.sum(widths), [1.0]])
+    return pwl_target(breaks, np.exp(u), anchor=draw(st.floats(-1.0, 1.0)))
+
+
+def _assert_row_is_sup_of_schedule(target, profile, T, row):
+    """The row's gamma is gamma_relaxed's and the schedule's, whose quantized
+    profile keeps within T; the measured error is that schedule's sup: equal
+    at the knots, at least a dense grid's."""
+    built = budgeted_schedule(target, T)
+    assert row["gamma"] == gamma_relaxed(profile, T).value == built.gamma
+    assert built.quantized_tv <= T + 1e-9
+    sched = built.schedule
+    knots = target.pwl.breakpoints
+    at_knots = flow_eval(sched, knots[:, None])[:, 0] - target.fn(knots)
+    assert abs(row["measured"] - float(np.max(np.abs(at_knots)))) <= 1e-12
+    xs = np.linspace(0.0, 1.0, 4097)
+    on_grid = flow_eval(sched, xs[:, None])[:, 0] - target.fn(xs)
+    assert row["measured"] >= float(np.max(np.abs(on_grid))) - 1e-12
+
+
 class TestBudgetedError:
     def test_identity_bound_zero(self):
         (row,) = rate_sweep(builtin_target_1d("identity"), [0.5])
@@ -297,12 +344,17 @@ class TestBudgetedError:
         target = pwl_target([0.0, 0.25, 0.5, 0.75, 1.0], np.exp([0.4, -0.2, 0.5, -0.1]), anchor=0.2)
         profile = tv_log_derivative(target)
         budgets = [0.25 * profile.tv, 0.6 * profile.tv, profile.tv]
-        xs = np.linspace(0.0, 1.0, 65)
-        rows = rate_sweep(target, budgets, grid=64)
-        for T, row in zip(budgets, rows):
-            assert row["gamma"] == gamma_relaxed(profile, T).value
-            out = flow_eval(budgeted_schedule(target, T).schedule, xs[:, None])[:, 0]
-            assert row["measured"] == float(np.max(np.abs(out - target.fn(xs))))
+        for T, row in zip(budgets, rate_sweep(target, budgets)):
+            _assert_row_is_sup_of_schedule(target, profile, T, row)
+
+    @given(random_sweep_targets(), st.floats(0.0, 1.2))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_rows_exact_and_within_bound(self, target, frac):
+        profile = tv_log_derivative(target)
+        T = frac * profile.tv
+        (row,) = rate_sweep(target, [T])
+        _assert_row_is_sup_of_schedule(target, profile, T, row)
+        assert row["measured"] <= row["bound"] * (1 + 1e-9) + 1e-12
 
     def test_budgeted_schedule_spend_within_budget(self):
         target = builtin_target_1d("mono_tv1")
