@@ -16,7 +16,7 @@ from .families import (AffineRestriction, OutsideSign, WellFunction,
                        negated_field, relu_field, relu_well_1d, relu_well_nd,
                        sigmoid, sigmoid_smn, sigmoid_soft_threshold,
                        soft_threshold_well_1d)
-from .splitting import average_flow_schedule, convex_combo_schedule
+from .splitting import average_flow_schedule
 from .oned import (ApproxResult, MatchResult, NotIncreasingError,
                    PointMatchProblem, TransportError, approx_increasing,
                    match_points_result, transport_time)
@@ -30,7 +30,7 @@ from .targets import (Target1D, TargetSpec, builtin_target_1d,
 from .highd import (GridTarget, PipelineError, PipelineReport, ShrinkSpec,
                     approximate_lp, build_contraction, build_grid_target,
                     separate_points, shrink_map_1d, transport_points)
-from .terminal import CoveringError, TerminalMap, compose_and_measure, lift_targets
+from .terminal import CoveringError, TerminalMap, lift_targets
 from .tensor import shear_parts, shear_schedule, tensor_field, tensor_transport
 from .discretize import (ResNetExport, euler_discretize, export_from_json,
                          export_to_json, resnet_forward, truncation_slope)

@@ -94,16 +94,32 @@ class VectorField:
             raise ValueError("lipschitz_bound must be nonnegative")
 
 
+def _is_number(value) -> bool:  # a real number, not bool or str
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+
+
 def require_duration(value, what: str) -> float:
     """``value`` as a float: a real number, not bool or str, finite and >= 0.
 
     The rule for a schedule step's tau and for an export run's delta.
     """
-    if ((type(value) is not float
-         and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
-            or not (value >= 0.0 and math.isfinite(value))):
+    if not (_is_number(value) and value >= 0.0 and math.isfinite(value)):
         raise ValueError(f"{what} must be a finite nonnegative number, got {value!r}")
     return float(value)
+
+
+def require_number_lists(value, depth: int, what: str) -> None:
+    """Raise a ValueError naming the entry unless ``value`` is a list of
+    numbers (``depth`` 1) or of equally long such lists (``depth`` 2)."""
+    _require_json_type(value, list, what)
+    for i, item in enumerate(value):
+        if depth > 1:
+            require_number_lists(item, depth - 1, f"{what}[{i}]")
+        elif not _is_number(item):
+            raise ValueError(f"{what}[{i}] must be a number, got {item!r}")
+    if depth > 1 and len(set(map(len, value))) > 1:
+        raise ValueError(f"{what} rows differ in length: {[len(r) for r in value]}")
 
 
 @dataclass(frozen=True)

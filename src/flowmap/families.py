@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import VectorField, register_family
+from .core import VectorField, register_family, require_number_lists
 from .pwl import PwlField, relu_terms_1d
 
 __all__ = [
@@ -400,7 +400,18 @@ def relu_well_nd(n: int) -> WellFunction:
 
 
 def _build_relu(params: dict) -> VectorField:
-    return relu_field(params["V"], params["W"], params["b"])
+    V, W, b = params["V"], params["W"], params["b"]
+    # A good document costs one scan of its entries' types.  Any failure,
+    # ragged rows included, is searched for the entry to name; where none is
+    # wrong, the second relu_field call raises its own error again.
+    try:
+        if set(map(type, chain(*V, *W, b))) <= {float, int}:
+            return relu_field(V, W, b)
+    except (TypeError, ValueError):
+        pass
+    for key, value, depth in (("V", V, 2), ("W", W, 2), ("b", b, 1)):
+        require_number_lists(value, depth, f"relu key {key!r}")
+    return relu_field(V, W, b)
 
 
 register_family("relu", _build_relu)

@@ -101,9 +101,6 @@ class PwlField:
         object.__setattr__(self, "_kinks", np.array(kinks, dtype=float))
         object.__setattr__(self, "_slope", np.array(slope))
         object.__setattr__(self, "_icept", np.array(icept))
-        object.__setattr__(self, "_kl", kinks)
-        object.__setattr__(self, "_sl", slope)
-        object.__setattr__(self, "_cl", icept)
 
     # -- evaluation -------------------------------------------------------
 
@@ -142,53 +139,8 @@ class PwlField:
         return z.reshape(x_in.shape)
 
     def flow_scalar(self, x: float, tau: float) -> float:
-        """Scalar fast path for flow(): the kink walk without arrays."""
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        kinks, slope, icept = self._kl, self._sl, self._cl
-        K = len(kinks)
-        z = float(x)
-        rem = float(tau)
-        for _ in range(K + 2):
-            if rem <= 0.0:
-                break
-            p = bisect_right(kinks, z)
-            a, c = slope[p], icept[p]
-            v = a * z + c
-            if p >= 1 and z == kinks[p - 1] and v < 0.0:
-                p -= 1
-                a, c = slope[p], icept[p]
-                v = a * z + c
-            if v == 0.0:
-                rem = 0.0
-                break
-            if v > 0.0:
-                bnd = kinks[p] if p < K else None
-            else:
-                bnd = kinks[p - 1] if p >= 1 else None
-            if bnd is None:
-                t_hit = math.inf
-            elif a == 0.0:
-                t_hit = (bnd - z) / v
-            else:
-                ratio = (a * bnd + c) / v
-                t_hit = math.log(ratio) / a if ratio > 0.0 else math.inf
-            if t_hit <= rem:
-                z = bnd
-                rem -= t_hit
-            elif a == 0.0:
-                z += c * rem
-                rem = 0.0
-            else:
-                zeq = -c / a
-                try:
-                    z = zeq + (z - zeq) * math.exp(a * rem)
-                except OverflowError:
-                    z = math.inf if z > zeq else -math.inf
-                rem = 0.0
-        if rem > 0.0:
-            raise _walk_error(rem, K)
-        return z
+        """flow() of one point, returned as a float."""
+        return self.flow(float(x), tau)
 
     def hitting_time(self, z0: float, z1: float) -> float:
         """Time the flow from z0 takes to reach z1; inf when it never does.
@@ -205,7 +157,7 @@ class PwlField:
             raise ValueError("hitting_time needs non-NaN endpoints")
         if math.isinf(z) or math.isinf(z1):
             return math.inf  # growth is at most exponential
-        kinks, slope, icept = self._kl, self._sl, self._cl
+        kinks, slope, icept = self._kinks.tolist(), self._slope.tolist(), self._icept.tolist()
         up = z1 > z
         t = 0.0
         while z != z1:
@@ -312,11 +264,9 @@ class PwlField:
             z[act] = np.where(hit, bnd, z_free)[act]
             rem[act] = np.where(hit, rem - t_used, 0.0)[act]
         if np.any(rem > 0.0):
-            raise _walk_error(float(np.max(rem)), len(kinks))
-
-
-def _walk_error(rem: float, K: int) -> FlowEvalError:
-    # A trajectory crosses each of the K kinks at most once, so K + 2 pieces
-    # always suffice; time left after them means the tables are inconsistent.
-    return FlowEvalError(f"kink walk left time {rem:.6g} unintegrated after "
-                         f"{K + 2} pieces over {K} kinks")
+            # A trajectory crosses each kink at most once, so K + 2 pieces
+            # always suffice; time left after them means the tables are
+            # inconsistent.
+            K = len(kinks)
+            raise FlowEvalError(f"kink walk left time {float(np.max(rem)):.6g} unintegrated "
+                                f"after {K + 2} pieces over {K} kinks")

@@ -61,14 +61,6 @@ class LogDerivativeProfile:
         d = np.diff(self.values)
         return bool(np.all(d >= 0) or np.all(d <= 0))
 
-    def is_unimodal(self) -> bool:
-        d = np.diff(self.values)
-        signs = np.sign(d[d != 0])
-        if len(signs) == 0:
-            return True
-        flips = np.nonzero(np.diff(signs) != 0)[0]
-        return len(flips) == 1 and signs[0] > 0
-
 
 def _extended_tv(values: np.ndarray) -> float:
     terms = [abs(values[0])] + [abs(d) for d in np.diff(values)] + [abs(values[-1])]
@@ -312,14 +304,12 @@ def _lazy_tube_cost(values: np.ndarray, gamma: float) -> float:
     return cost + abs(pos)  # final move back to the zero extension
 
 
-def _tube_radius(values: np.ndarray, T: float, lo: float) -> float:
-    """Bisection from [lo, max|u|] for the smallest tube radius whose lazy path
-    costs at most T; returns the upper end of the final bracket.
-
-    ``lo`` must cost more than T.  The loop stops once the midpoint rounds to
-    an end of the bracket, after which the bracket could not change.
-    """
-    hi = float(np.max(np.abs(values))) + 1e-12
+def _tube_radius(values: np.ndarray, T: float) -> float:
+    """Bisection from [0, max|u|] for the smallest tube radius whose lazy path
+    costs at most T < tv; returns the upper end of the final bracket.  The
+    loop stops once the midpoint rounds to an end of the bracket, after
+    which the bracket could not change."""
+    lo, hi = 0.0, float(np.max(np.abs(values))) + 1e-12
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -344,26 +334,19 @@ def _lazy_tube_path(values: np.ndarray, gamma: float) -> np.ndarray:
 def gamma_relaxed(profile: LogDerivativeProfile, T: float) -> GammaResult:
     """Best sup-distance from u to the extended-TV ball of radius T.
 
-    Closed forms for monotone and single-peak u; otherwise an upper bound via
-    projection of u onto the tube of feasible functions (reported as a bound,
-    not an optimum).  The single-peak form (tv - T) / 4 lowers the peak and
-    raises both ends; under the extended convention an end that cannot rise
-    past zero saves nothing, so when the lazy path through that tube costs
-    more than T the radius is searched up from it and reported as a bound.
-    Either way the value is the radius ``budgeted_schedule`` quantizes with.
+    A monotone u of one sign has extended TV 2 max |u|, so (tv - T) / 2 is
+    optimal: shrinking u toward zero by it spends exactly T, and every v in
+    a narrower tube has extended TV >= 2 max |v| > T.  Any other u gets the
+    tube radius through which the lazy path costs at most T, as a bound.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     if T >= profile.tv:
         return GammaResult(0.0, True, "feasible")
-    if profile.is_monotone():
+    u = profile.values
+    if profile.is_monotone() and (np.all(u >= 0) or np.all(u <= 0)):
         return GammaResult(max(0.0, 0.5 * (profile.tv - T)), True, "monotone")
-    if profile.is_unimodal():
-        g = max(0.0, 0.25 * (profile.tv - T))
-        if _extended_tv(_lazy_tube_path(profile.values, g)) <= T + 1e-9:
-            return GammaResult(g, True, "unimodal")
-        return GammaResult(_tube_radius(profile.values, T, g), False, "tube_bound")
-    return GammaResult(_tube_radius(profile.values, T, 0.0), False, "tube_bound")
+    return GammaResult(_tube_radius(u, T), False, "tube_bound")
 
 
 @dataclass(frozen=True)
@@ -378,13 +361,13 @@ class BudgetedApproximation:
 def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> BudgetedApproximation:
     """Constructed approximant within time budget T (plus translation slack).
 
-    Quantizes u toward zero by gamma (monotone case: soft shrink, which is
-    exactly budget-tight; general case: tube projection), compiles the
+    Quantizes u toward zero by gamma (monotone u of one sign: soft shrink,
+    which is exactly budget-tight; any other u: tube projection), compiles the
     quantized profile exactly, then translates to the anchor.
     """
     profile = _pwc_profile(target)
-    g = gamma_relaxed(profile, T).value
-    v = _quantize(profile, g)
+    res = gamma_relaxed(profile, T)
+    g, v = res.value, _quantize(profile, res)
     vtv = _extended_tv(v)
     qprofile = LogDerivativeProfile(kind="pwc", breakpoints=profile.breakpoints,
                                     values=v, tv=vtv,
@@ -403,14 +386,13 @@ def _pwc_profile(target: Target1D) -> LogDerivativeProfile:
     return profile
 
 
-def _quantize(profile: LogDerivativeProfile, g: float) -> np.ndarray:
-    """Log-slopes v within g of u: monotone u shrunk toward zero by g, any
-    other u along the lazy path through the g-tube.  At g from
-    ``gamma_relaxed`` at T, the extended TV of v is at most T."""
-    u = profile.values
-    if profile.is_monotone():
-        return np.sign(u) * np.maximum(np.abs(u) - g, 0.0)
-    return _lazy_tube_path(u, g)
+def _quantize(profile: LogDerivativeProfile, res: GammaResult) -> np.ndarray:
+    """Log-slopes v within gamma of u: shrunk toward zero where the closed
+    form holds, else along the lazy path through the gamma-tube.  The
+    extended TV of v is then at most the T that ``res`` was found for."""
+    if res.kind == "monotone":
+        return np.sign(profile.values) * np.maximum(np.abs(profile.values) - res.value, 0.0)
+    return _lazy_tube_path(profile.values, res.value)
 
 
 def rate_sweep(target: Target1D, budgets):
@@ -428,9 +410,9 @@ def rate_sweep(target: Target1D, budgets):
     ref = np.asarray(target.fn(knots), dtype=float)
     rows = []
     for T in budgets:
-        g = gamma_relaxed(profile, float(T)).value
-        bound = float(math.expm1(g) * profile.max_slope())
-        img = ref[0] + _prefix_images(profile.breakpoints, _quantize(profile, g))
+        res = gamma_relaxed(profile, float(T))
+        bound = float(math.expm1(res.value) * profile.max_slope())
+        img = ref[0] + _prefix_images(profile.breakpoints, _quantize(profile, res))
         measured = float(np.max(np.abs(img - ref)))
-        rows.append({"T": float(T), "gamma": g, "bound": bound, "measured": measured})
+        rows.append({"T": float(T), "gamma": res.value, "bound": bound, "measured": measured})
     return rows

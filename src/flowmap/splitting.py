@@ -1,109 +1,35 @@
-"""Emulating convex combinations of fields by alternating flows.
+"""Emulating the average of two fields by alternating flows.
 
-Flowing each field of a rational convex combination for time slices
-proportional to its weight converges, as the slicing is refined, to the flow
-of the combined field.  This is how the attainable set of a control family
-swallows the convex hull of the family.
+Flowing f and g in turn for equal time slices converges, as the slicing is
+refined, to the flow of (f + g) / 2.  This is how the attainable set of a
+control family swallows the convex hull of the family.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import Schedule, VectorField
 
-__all__ = ["average_flow_schedule", "convex_combo_schedule"]
-
-DENOMINATOR_CAP = 64
+__all__ = ["average_flow_schedule"]
 
 
-def _rationalize(weights, cap: int):
-    fracs = []
-    for w in weights:
-        if isinstance(w, Fraction):
-            f = w
-        else:
-            f = Fraction(float(w)).limit_denominator(cap)
-        if f <= 0:
-            raise ValueError(f"weights must be positive, got {w}")
-        fracs.append(f)
-    total = sum(fracs)
-    if total != 1:
-        # Continued-fraction rounding can leave a small deficit; absorb it
-        # into the largest weight.  A genuinely wrong sum is an error.
-        if abs(total - 1) > Fraction(len(fracs), cap):
-            raise ValueError(f"weights sum to {float(total)}, not 1")
-        k = max(range(len(fracs)), key=lambda i: fracs[i])
-        adjusted = fracs[k] + (1 - total)
-        if adjusted <= 0:
-            raise ValueError(f"weights sum to {float(total)}, not 1")
-        fracs[k] = adjusted
-    for f in fracs:
-        if f.denominator > cap:
-            raise ValueError(f"weight denominator {f.denominator} exceeds cap {cap}")
-    return fracs
+def average_flow_schedule(f: VectorField, g: VectorField, t: float, N: int) -> Schedule:
+    """2N-step alternating schedule emulating the flow of (f + g) / 2 for time t.
 
-
-def _exact_partition(t: float, m: int):
-    """m slot durations that fsum exactly to t (last slot absorbs roundoff)."""
-    d = t / m
-    taus = [d] * m
-    taus[-1] = t - math.fsum(taus[:-1])  # Sterbenz: exact once the sum is near t
-    return taus
-
-
-def convex_combo_schedule(fields, weights, t: float, N: int,
-                          max_denominator: int = DENOMINATOR_CAP) -> Schedule:
-    """Alternating schedule approximating the flow of sum_i w_i f_i for time t.
-
-    Each of the N periods of length t/N is divided into Q = lcm(denominators)
-    slots; field i receives slots in round-robin order, w_i * Q of them per
-    period.  The endpoint converges to the flow of the averaged field as N
-    grows.  Total time is exactly t.
+    The steps are (f, t/2N), (g, t/2N), repeated N times; the last slot
+    absorbs the roundoff, so the total time is exactly t.  The endpoint error
+    against the averaged field decays like 1/N, driven by the time modulus
+    of the reference trajectory over one half-period.
     """
-    fields = list(fields)
-    if not fields:
-        raise ValueError("need at least one field")
-    dim = fields[0].dim
-    if any(f.dim != dim for f in fields):
-        raise ValueError("all fields must share dim")
+    if f.dim != g.dim:
+        raise ValueError("fields must share dim")
     if N < 1:
         raise ValueError("N must be >= 1")
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError("t must be finite and nonnegative")
-    fracs = _rationalize(weights, max_denominator)
-    if len(fracs) != len(fields):
-        raise ValueError("weights and fields must have equal length")
-    Q = math.lcm(*(f.denominator for f in fracs))
-    if Q > max_denominator:
-        raise ValueError(f"common denominator {Q} exceeds cap {max_denominator}")
-    quota = [int(f * Q) for f in fracs]
-    order = []
-    remaining = quota.copy()
-    while any(remaining):
-        for i in range(len(fields)):
-            if remaining[i] > 0:
-                order.append(i)
-                remaining[i] -= 1
     if t == 0:
-        return Schedule((), dim)
-    taus = _exact_partition(t, N * Q)
-    steps = []
-    k = 0
-    for _ in range(N):
-        for i in order:
-            steps.append((fields[i], taus[k]))
-            k += 1
-    return Schedule(tuple(steps), dim)
-
-
-def average_flow_schedule(f: VectorField, g: VectorField, t: float, N: int) -> Schedule:
-    """2N-step alternating schedule emulating the flow of (f + g) / 2.
-
-    The endpoint error against the averaged field decays like 1/N, driven by
-    the time modulus of the reference trajectory over one half-period.
-    """
-    if f.dim != g.dim:
-        raise ValueError("fields must share dim")
-    return convex_combo_schedule([f, g], [Fraction(1, 2), Fraction(1, 2)], t, N)
+        return Schedule((), f.dim)
+    taus = [t / (2 * N)] * (2 * N)
+    taus[-1] = t - math.fsum(taus[:-1])  # Sterbenz: exact once the sum is near t
+    return Schedule(tuple(zip((f, g) * N, taus)), f.dim)

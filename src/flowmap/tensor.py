@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Schedule, VectorField, field_from_json, flow_eval, register_family
-from .families import field_from_terms_1d, relu_field
+from .families import relu_field
 from .rates import compile_pwl_map
 from .util import spread_targets
 
@@ -83,8 +83,10 @@ def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
 
 
 def _build_tensor(params: dict) -> VectorField:
-    inner = field_from_json(params["inner"])
-    return tensor_field(inner, int(params["n"]))
+    n = params["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"tensor key 'n' must be an integer >= 1, got {n!r}")
+    return tensor_field(field_from_json(params["inner"]), n)
 
 
 register_family("tensor", _build_tensor)
@@ -108,11 +110,8 @@ def _read_j_field(g1d: VectorField, j: int, n: int, coeffs: dict) -> VectorField
 
 
 def _doubling_schedule() -> Schedule:
-    """1D schedule whose flow is exactly x -> 2x."""
-    t = math.log(2.0)
-    up = field_from_terms_1d([(1.0, 1.0, 0.0)], label="double+")
-    dn = field_from_terms_1d([(-1.0, -1.0, 0.0)], label="double-")
-    return Schedule(((up, t), (dn, t)), 1)
+    """1D schedule whose flow is exactly x -> 2x: the scaling pair."""
+    return compile_pwl_map([], [2.0], 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Schedule, flow_eval
-from .targets import TargetSpec
-from .util import MeasureResult, mc_lp_error
+from .core import _require_json_type, require_number_lists
 
-__all__ = ["TerminalMap", "CoveringError", "lift_targets", "compose_and_measure"]
+__all__ = ["TerminalMap", "CoveringError", "lift_targets"]
 
 
 class CoveringError(ValueError):
@@ -25,17 +23,19 @@ class CoveringError(ValueError):
 
 @dataclass(frozen=True)
 class TerminalMap:
-    """Affine terminal map g(x) = W x + c with W of shape (m, n)."""
+    """Affine terminal map g(x) = W x + c with finite W of shape (m, n)."""
 
     W: np.ndarray
     c: np.ndarray
-    kind: str = "affine"
 
     def __post_init__(self):
         W = np.atleast_2d(np.asarray(self.W, dtype=float))
         c = np.asarray(self.c, dtype=float).reshape(-1)
         if c.shape != (W.shape[0],):
             raise ValueError(f"c must have shape ({W.shape[0]},)")
+        for name, arr in (("W", W), ("c", c)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"terminal map {name} is not finite: {arr.tolist()}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "c", c)
 
@@ -65,7 +65,16 @@ class TerminalMap:
 
     @staticmethod
     def from_json(doc: dict) -> "TerminalMap":
-        return TerminalMap(np.asarray(doc["W"]), np.asarray(doc["c"]), kind=doc.get("kind", "affine"))
+        """Map from its {kind: "affine" (optional), W, c} document; a missing
+        key, or a W or c that is no list (of rows) of numbers, is named."""
+        _require_json_type(doc, dict, "terminal map document")
+        if doc.get("kind", "affine") != "affine":
+            raise ValueError(f"terminal map key 'kind' must be 'affine', got {doc['kind']!r}")
+        for key, depth in (("W", 2), ("c", 1)):
+            if key not in doc:
+                raise ValueError(f"terminal map document lacks key {key!r}")
+            require_number_lists(doc[key], depth, f"terminal map key {key!r}")
+        return TerminalMap(doc["W"], doc["c"])
 
 
 def lift_targets(values, g: TerminalMap, tol: float = 1e-9) -> np.ndarray:
@@ -84,17 +93,3 @@ def lift_targets(values, g: TerminalMap, tol: float = 1e-9) -> np.ndarray:
         raise CoveringError(f"values lie {residual:.3g} off the terminal map's range; "
                             "the covering condition F(K) within g(R^n) fails")
     return z
-
-
-def compose_and_measure(g: TerminalMap, sched: Schedule, F: TargetSpec, p: float,
-                        samples: int = 100_000, seed: int = 0) -> MeasureResult:
-    """Monte-Carlo L^p(K) error of g composed with the schedule's flow vs F."""
-    if g.n != sched.dim:
-        raise ValueError("terminal map input dim != schedule dim")
-    if g.m != F.m:
-        raise ValueError("terminal map output dim != target output dim")
-
-    def approx(x):
-        return g(flow_eval(sched, x))
-
-    return mc_lp_error(approx, F.fn, F.domain, p, samples, seed)

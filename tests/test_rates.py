@@ -231,6 +231,23 @@ class TestCompilePwlMap:
             compile_pwl_map([0.0], [1.0, -1.0], 0.0, 0.0)
 
 
+@st.composite
+def random_sweep_targets(draw):
+    """Increasing PWL targets on [0, 1] with 1-40 pieces and anchors in
+    [-1, 1]; ln(phi') is drawn sorted (monotone), as one peak, or as is."""
+    pieces = draw(st.integers(1, 40))
+    widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=pieces, max_size=pieces)))
+    u = draw(st.lists(st.floats(-1.5, 1.5), min_size=pieces, max_size=pieces))
+    shape = draw(st.sampled_from(["monotone", "peak", "any"]))
+    if shape == "monotone":
+        u = sorted(u, reverse=draw(st.booleans()))
+    elif shape == "peak":
+        k = draw(st.integers(0, pieces))
+        u = sorted(u[:k]) + sorted(u[k:], reverse=True)
+    breaks = np.concatenate([[0.0], np.cumsum(widths)[:-1] / np.sum(widths), [1.0]])
+    return pwl_target(breaks, np.exp(u), anchor=draw(st.floats(-1.0, 1.0)))
+
+
 class TestGammaRelaxed:
     def test_budget_at_or_above_tv_is_free(self):
         p = tv_log_derivative(builtin_target_1d("pwl4"))
@@ -244,14 +261,30 @@ class TestGammaRelaxed:
         assert res.value == pytest.approx(0.3, abs=1e-15)
         assert res.optimal and res.kind == "monotone"
 
-    def test_unimodal_closed_form(self):
+    def test_single_peak_takes_the_tube_radius(self):
         # Both ends of the peak move by gamma: the first end is negative, the
-        # last one within gamma of zero, so the lazy tube path costs tv - 4 gamma.
+        # last one within gamma of zero, so the lazy tube path costs tv - 4 gamma
+        # and the search finds (tv - T) / 4, reported as a bound.
         target = pwl_target([0.0, 1 / 3, 2 / 3, 1.0], np.exp([-0.5, 0.6, 0.1]))
         p = tv_log_derivative(target)
         res = gamma_relaxed(p, p.tv - 1.0)
         assert res.value == pytest.approx(0.25, abs=1e-12)
-        assert res.optimal and res.kind == "unimodal"
+        assert not res.optimal and res.kind == "tube_bound"
+
+    @pytest.mark.parametrize("u, T", [([-1.0, 1.0], 2.0), ([-1.0, 1.0, -1.0], 3.0)],
+                             ids=["monotone_crossing_zero", "single_peak"])
+    def test_closed_forms_that_overshot(self, u, T):
+        # (tv - T) / 2 gave 1.0 for the first, claimed optimal, and the quarter
+        # form 0.75 for the second; a tube of radius 0.5 fits T in both.
+        breaks = np.linspace(0.0, 1.0, len(u) + 1)
+        target = pwl_target(breaks, np.exp(u))
+        p = tv_log_derivative(target)
+        res = gamma_relaxed(p, T)
+        assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert not res.optimal and res.kind == "tube_bound"
+        built = budgeted_schedule(target, T)
+        assert built.quantized_tv <= T + 1e-9
+        assert np.max(np.abs(built.quantized_values - np.asarray(u))) <= res.value + 1e-12
 
     def test_unimodal_quarter_form_infeasible_searches_tube(self):
         # All of u is positive, so only the peak can move: the extended TV is
@@ -281,29 +314,27 @@ class TestGammaRelaxed:
         lo, hi = min(t1, t2), max(t1, t2)
         assert gamma_relaxed(p, hi).value <= gamma_relaxed(p, lo).value + 1e-12
 
+    @given(random_sweep_targets(), st.floats(0.0, 1.2))
+    @settings(max_examples=100, deadline=None)
+    def test_quantized_profile_within_budget_and_gamma(self, target, frac):
+        p = tv_log_derivative(target)
+        T = frac * p.tv
+        res = gamma_relaxed(p, T)
+        built = budgeted_schedule(target, T)
+        v = built.quantized_values
+        assert built.gamma == res.value
+        assert rates._extended_tv(v) <= T + 1e-9
+        assert np.max(np.abs(p.values - v)) <= res.value + 1e-12
+        if res.optimal and res.value > 0.0:
+            # No narrower tube fits T: the lazy path is the cheapest in a tube.
+            assert rates._lazy_tube_cost(p.values, res.value * (1 - 1e-9)) > T
+
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=30), st.floats(0.0, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_tube_radius_equals_full_bisection(self, values, frac):
         u = np.asarray(values)
         tv = rates._lazy_tube_cost(u, 0.0)
-        assert rates._tube_radius(u, frac * tv, 0.0) == _tube_radius_reference(u, frac * tv, 0.0)
-
-
-@st.composite
-def random_sweep_targets(draw):
-    """Increasing PWL targets on [0, 1] with 1-40 pieces and anchors in
-    [-1, 1]; ln(phi') is drawn sorted (monotone), as one peak, or as is."""
-    pieces = draw(st.integers(1, 40))
-    widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=pieces, max_size=pieces)))
-    u = draw(st.lists(st.floats(-1.5, 1.5), min_size=pieces, max_size=pieces))
-    shape = draw(st.sampled_from(["monotone", "peak", "any"]))
-    if shape == "monotone":
-        u = sorted(u, reverse=draw(st.booleans()))
-    elif shape == "peak":
-        k = draw(st.integers(0, pieces))
-        u = sorted(u[:k]) + sorted(u[k:], reverse=True)
-    breaks = np.concatenate([[0.0], np.cumsum(widths)[:-1] / np.sum(widths), [1.0]])
-    return pwl_target(breaks, np.exp(u), anchor=draw(st.floats(-1.0, 1.0)))
+        assert rates._tube_radius(u, frac * tv) == _tube_radius_reference(u, frac * tv, 0.0)
 
 
 def _assert_row_is_sup_of_schedule(target, profile, T, row):

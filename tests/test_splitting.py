@@ -1,14 +1,13 @@
-"""Convex-combination emulation by alternating flows."""
+"""Emulating the average of two fields by alternating flows."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flowmap.core import Schedule, flow_eval
-from flowmap.families import field_from_terms_1d
-from flowmap.splitting import average_flow_schedule, convex_combo_schedule
+from flowmap.families import field_from_terms_1d, relu_well_nd
+from flowmap.splitting import average_flow_schedule
 from helpers import RK12
 
 LIN = field_from_terms_1d([(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)], label="z")
@@ -41,29 +40,14 @@ def test_error_decays_like_one_over_N():
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
 
-def test_single_field_weight_one():
-    sched = convex_combo_schedule([LIN], [1], 0.6, 4)
-    ref = flow_eval(Schedule(((LIN, 0.6),), 1), np.array([0.5]))
-    np.testing.assert_allclose(flow_eval(sched, np.array([0.5])), ref, atol=1e-12)
-
-
 def test_half_half_agrees_with_average():
-    a = average_flow_schedule(LIN, ONE, 1.0, 3)
-    c = convex_combo_schedule([LIN, ONE], [Fraction(1, 2), Fraction(1, 2)], 1.0, 3)
-    assert len(a.steps) == len(c.steps)
-    for (f1, t1), (f2, t2) in zip(a.steps, c.steps):
-        assert f1 is f2 and t1 == t2
-
-
-def test_three_affine_fields():
-    two = field_from_terms_1d([(2.0, 0.0, 1.0)], label="2")
-    fields = [LIN, ONE, two]
-    weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
-    # averaged field: z/2 + 1/3 + 2/6 = z/2 + 2/3
-    avg = field_from_terms_1d([(0.5, 1.0, 0.0), (-0.5, -1.0, 0.0), (2.0 / 3.0, 0.0, 1.0)])
-    ref = flow_eval(Schedule(((avg, 1.0),), 1), np.array([0.3]), RK12)[0]
-    out = flow_eval(convex_combo_schedule(fields, weights, 1.0, 32), np.array([0.3]))[0]
-    assert abs(out - ref) <= 1e-2
+    # N periods of (f, t/2N), (g, t/2N); the last slot absorbs the roundoff.
+    t, N = 0.7, 3
+    sched = average_flow_schedule(LIN, ONE, t, N)
+    assert [id(f) for f, _ in sched.steps] == [id(LIN), id(ONE)] * N
+    taus = [tau for _, tau in sched.steps]
+    assert taus[:-1] == [t / (2 * N)] * (2 * N - 1)
+    assert taus[-1] == t - math.fsum(taus[:-1])
 
 
 def test_error_monotone_in_N_random_affine_pairs():
@@ -87,20 +71,17 @@ def test_error_monotone_in_N_random_affine_pairs():
 
 def test_total_time_exact():
     for t in (1.0, math.pi, 0.123456789, 7.5):
-        sched = convex_combo_schedule([LIN, ONE], [Fraction(1, 3), Fraction(2, 3)], t, 5)
-        assert sched.total_time == t
+        for N in (1, 3, 5):
+            sched = average_flow_schedule(LIN, ONE, t, N)
+            assert len(sched.steps) == 2 * N and sched.total_time == t
+    assert average_flow_schedule(LIN, ONE, 0.0, 4).steps == ()
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        convex_combo_schedule([LIN, ONE], [Fraction(1, 2), Fraction(1, 3)], 1.0, 2)
-    with pytest.raises(ValueError):
-        convex_combo_schedule([LIN], [Fraction(1, 100)], 1.0, 2, max_denominator=64)
-    with pytest.raises(ValueError):
-        convex_combo_schedule([LIN, ONE], [-0.5, 1.5], 1.0, 2)
-
-
-def test_irrational_weights_rationalized():
-    w = 1.0 / math.sqrt(2.0)
-    sched = convex_combo_schedule([LIN, ONE], [w, 1.0 - w], 1.0, 4)
-    assert sched.total_time == 1.0
+    with pytest.raises(ValueError, match="fields must share dim"):
+        average_flow_schedule(LIN, relu_well_nd(2).field, 1.0, 2)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        average_flow_schedule(LIN, ONE, 1.0, 0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            average_flow_schedule(LIN, ONE, t, 2)
