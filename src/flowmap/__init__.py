@@ -29,7 +29,7 @@ from .targets import (Target1D, TargetSpec, builtin_target_1d,
                       target_nd_from_csv)
 from .highd import (GridTarget, PipelineError, PipelineReport, ShrinkSpec,
                     approximate_lp, build_contraction, build_grid_target,
-                    separate_points, shrink_map_1d, transport_points)
+                    separate_points, transport_points)
 from .terminal import CoveringError, TerminalMap, lift_targets
 from .tensor import shear_parts, shear_schedule, tensor_field, tensor_transport
 from .discretize import (ResNetExport, euler_discretize, export_from_json,

@@ -143,6 +143,7 @@ def export_to_json(net: ResNetExport) -> dict:
 
 def export_from_json(doc: dict) -> ResNetExport:
     """Network from its JSON document, one field per run."""
+    _require_json_type(doc, dict, "export document")
     if doc.get("format_version") != EXPORT_FORMAT_VERSION:
         raise ValueError(f"unsupported export format {doc.get('format_version')!r}; "
                          f"re-run `flowmap discretize` to write format {EXPORT_FORMAT_VERSION}")

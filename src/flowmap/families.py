@@ -352,10 +352,6 @@ class WellFunction:
         return self._replace(field=apply_restriction(self.field, r),
                              zero_box=self.zero_box - r.b[:, None])
 
-    def flipped(self) -> "WellFunction":
-        sign = OutsideSign(-self.outside_sign.left, -self.outside_sign.right)
-        return self._replace(field=negated_field(self.field), outside_sign=sign)
-
     def require_piece_tables(self, what: str) -> None:
         """Raise ValueError unless the well is ReLU-built.
 

@@ -21,7 +21,7 @@ from .families import AffineRestriction, WellFunction, apply_restriction, relu_f
 from .rates import LogDerivativeProfile, compile_heaviside_flow
 from .targets import TargetSpec
 from .tensor import tensor_field, tensor_transport
-from .util import collision_counts, mc_lp_error, spread_targets
+from .util import collision_counts, mc_lp_error, require_lp_args, spread_targets
 
 __all__ = [
     "GridTarget",
@@ -29,7 +29,6 @@ __all__ = [
     "PipelineError",
     "PipelineReport",
     "build_grid_target",
-    "shrink_map_1d",
     "build_contraction",
     "collision_counts",
     "separate_points",
@@ -106,23 +105,6 @@ class ShrinkSpec:
             raise ValueError("N must be >= 1")
         if not self.eps1 > 0:
             raise ValueError("eps1 must be positive")
-
-
-def shrink_map_1d(alpha: float, N: int):
-    """The canonical continuous shrink map on [0, 1].
-
-    Flat at value i/N on [i/N, (i+alpha)/N], linear in between; weakly
-    increasing and continuous.
-    """
-    def h(x, alpha=alpha, N=N):
-        x = np.asarray(x, dtype=float)
-        scaled = np.clip(x, 0.0, 1.0) * N
-        i = np.minimum(np.floor(scaled), N - 1)
-        frac = scaled - i
-        rise = np.maximum(frac - alpha, 0.0) / (1.0 - alpha)
-        return (i + rise) / N
-
-    return h
 
 
 def _staircase_profile(alpha: float, N: int, beta: float) -> LogDerivativeProfile:
@@ -420,8 +402,9 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
     term, eps/4 for the mass leaked outside the shrunken cells.  Returns
     (schedule, report); the report carries the measured Monte-Carlo error at
     the fixed seed.  Raises PipelineError up front unless the well is
-    ReLU-built.
+    ReLU-built, and ValueError on a bad p or mc_samples.
     """
+    require_lp_args(p, mc_samples)
     n = F.n
     if n < 2:
         raise ValueError("the pipeline needs n >= 2; use the 1D machinery otherwise")

@@ -51,17 +51,9 @@ class TerminalMap:
     def lipschitz_bound(self) -> float:
         return float(np.linalg.norm(self.W, 2))
 
-    @property
-    def surjective(self) -> bool:
-        return bool(np.linalg.matrix_rank(self.W) == self.m)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return x @ self.W.T + self.c
-
-    @staticmethod
-    def identity(n: int) -> "TerminalMap":
-        return TerminalMap(np.eye(n), np.zeros(n))
 
     @staticmethod
     def from_json(doc: dict) -> "TerminalMap":

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MeasureResult", "mc_lp_error", "worker_count", "collision_counts",
-           "rank_spread", "spread_targets", "sup_probe_points"]
+__all__ = ["MeasureResult", "mc_lp_error", "require_lp_args", "worker_count",
+           "collision_counts", "rank_spread", "spread_targets", "sup_probe_points"]
 
 
 def collision_counts(points) -> list:
@@ -92,14 +93,39 @@ def worker_count() -> int:
     return workers
 
 
+def require_lp_args(p, samples) -> None:
+    """Raise a ValueError naming p unless a finite real >= 1, or samples unless an int >= 1."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be a finite real number >= 1, got {p!r}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+
+
+def _cell_order(chunk: np.ndarray, domain: np.ndarray) -> np.ndarray:
+    """Row order of chunk by row-major cell on 2 ** (16 // n) bins per axis, one
+    on a zero-width axis, so that every cell index fits 16 bits."""
+    bins = 2 ** (16 // chunk.shape[1])
+    width = domain[:, 1] - domain[:, 0]
+    scale = np.divide(bins, width, where=width > 0, out=np.zeros(len(width)))
+    key = np.zeros(len(chunk), dtype=np.int64)
+    for k, lo in enumerate(domain[:, 0]):  # by column: numpy loops slowly over a short axis
+        key = key * bins + np.clip(((chunk[:, k] - lo) * scale[k]).astype(np.int64), 0, bins - 1)
+    return np.argsort(key.astype(np.uint16), kind="stable")
+
+
 def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> MeasureResult:
     """Monte-Carlo estimate of the L^p(K) distance between two maps on a box.
 
     The sample set is fixed by the seed and split into ``MC_CHUNKS`` chunks
-    whose partial sums are combined in a fixed order; the worker count
+    whose partial results are combined in a fixed order; the worker count
     (FLOWMAP_THREADS) only sets how many chunks run at once, so the result is
-    byte-identical for a given (seed, samples) on any pool size.
+    byte-identical for a given (seed, samples) on any pool size.  Each chunk is
+    evaluated in cell order (``_cell_order``), so consecutive points meet the
+    same interpolation segments; it keeps its members, so its hull.  ``value``
+    is the exact mean (``math.fsum``), which no order changes; ``stderr``
+    comes from a pairwise sum.  Bad p or samples raise ValueError.
     """
+    require_lp_args(p, samples)
     domain = np.asarray(domain, dtype=float)
     n = domain.shape[0]
     rng = np.random.default_rng(seed)
@@ -109,6 +135,7 @@ def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> 
     chunks = np.array_split(pts, MC_CHUNKS)
 
     def moment(chunk):
+        chunk = np.take(chunk, _cell_order(chunk, domain), axis=0)
         gap = np.asarray(f_approx(chunk), dtype=float) - np.asarray(f_true(chunk), dtype=float)
         r = np.linalg.norm(np.atleast_2d(gap.reshape(len(chunk), -1)), axis=1)
         return r ** p
@@ -120,7 +147,7 @@ def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> 
         parts = [moment(c) for c in chunks]
     vals = np.concatenate(parts)
     mean = math.fsum(vals.tolist()) / samples
-    var = math.fsum(((vals - mean) ** 2).tolist()) / max(1, samples - 1)
+    var = float(np.sum(np.square(vals - mean))) / max(1, samples - 1)  # pairwise, not BLAS
     se_mean = math.sqrt(var / samples)
     value = (mean * vol) ** (1.0 / p) if mean > 0 else 0.0
     if mean > 0:

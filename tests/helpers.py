@@ -56,3 +56,18 @@ def pwl_tables_oracle(terms):
         slope[j] = float(np.sum(v[act] * w[act]))
         icept[j] = float(np.sum(v[act] * b[act])) + const
     return kinks, slope, icept
+
+
+def shrink_map_1d(alpha: float, N: int):
+    """The canonical continuous shrink map on [0, 1]: the oracle of the contraction.
+
+    Flat at value i/N on [i/N, (i+alpha)/N], linear in between; weakly
+    increasing and continuous.
+    """
+    def h(x):
+        scaled = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * N
+        i = np.minimum(np.floor(scaled), N - 1)
+        rise = np.maximum(scaled - i - alpha, 0.0) / (1.0 - alpha)
+        return (i + rise) / N
+
+    return h

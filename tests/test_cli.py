@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from flowmap.cli import main
-from flowmap.core import flow_eval, schedule_from_json, schedule_to_json
+from flowmap.core import Schedule, flow_eval, schedule_from_json, schedule_to_json
+from flowmap.families import field_from_terms_1d
 from flowmap.oned import approx_increasing
 from flowmap.targets import builtin_target_1d
+from flowmap.tensor import tensor_field
 
 
 def read_json(path):
@@ -84,6 +86,27 @@ def test_approxnd_and_verify(tmp_path):
     vrep = read_json(vout / "report.json")
     assert vrep["measured_lp_error"] == pytest.approx(rep["measured_lp_error"], abs=1e-12)
     assert all(r["positive"] for r in vrep["jacobian_signs"])
+
+
+@pytest.mark.parametrize("flag, value, match", [
+    ("--p", "nan", "p must be a finite real number >= 1, got nan"),
+    ("--p", "-1", "p must be a finite real number >= 1, got -1.0"),
+    ("--p", "0", "p must be a finite real number >= 1, got 0.0"),
+    ("--mc-samples", "0", "samples must be an integer >= 1, got 0"),
+])
+def test_verify_and_approxnd_reject_bad_p_and_samples(tmp_path, capsys, flag, value, match):
+    # --p nan once exited 0 with an error of 0.0, --p -1 with a negative
+    # stderr, and --p 0 raised a bare ZeroDivisionError.
+    field = field_from_terms_1d([(1.0, 1.0, -0.5)])
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule_to_json(Schedule(((tensor_field(field, 2), 0.5),), 2))))
+    for argv in (["verify", "--schedule", str(path)],
+                 ["approxnd", "--eps", "0.5", "--grid-N", "2"]):
+        rc = main(argv + ["--target", "builtin:identity", flag, value,
+                          "--out", str(tmp_path / argv[0])])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValueError", "message": match}
 
 
 def test_tensor_backend(tmp_path):

@@ -444,7 +444,7 @@ class TestScheduleSerialization:
         well = relu_well_1d(q1, q1 + width).translated(shift)
         fields = (f, negated_field(f),
                   apply_restriction(f, AffineRestriction.translation(1, shift)),
-                  well.field, well.flipped().field)
+                  well.field, negated_field(well.field))
         assert_round_trip_bit_faithful(Schedule(tuple(zip(fields, taus)), 1))
         # Tensor contraction steps and shear stages keep their exact flows on reload.
         tensor_steps = Schedule(((tensor_field(f, 2), taus[0]),

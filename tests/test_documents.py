@@ -128,6 +128,13 @@ def test_one_mutated_entry_is_named_by_verify(tmp_path_factory, kind, data):
     assert any(n in err[0]["message"] for n in _names(path)), (path, mutation, err)
 
 
+@pytest.mark.parametrize("doc, kind", [([], "list"), ("x", "str"), (3, "int"), (None, "NoneType")])
+def test_export_document_that_is_no_object_is_named(doc, kind):
+    # These once raised AttributeError: ... has no attribute 'get'.
+    with pytest.raises(ValueError, match=f"export document must be an object, got {kind}$"):
+        export_from_json(doc)
+
+
 def _run_cli(argv, err) -> int:
     """Exit status of the CLI; its JSON error, if any, is appended to err."""
     buf = io.StringIO()

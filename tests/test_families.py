@@ -248,7 +248,7 @@ class TestApplyRestriction:
                                 outside_sign=fam.OutsideSign(+1, +1), label="smooth")
         r = AffineRestriction(np.ones(1), np.eye(1), np.array([0.5]))
         for route in (lambda: apply_restriction(smooth, r), lambda: fam.negated_field(smooth),
-                      lambda: well.translated(0.5), well.flipped):
+                      lambda: well.translated(0.5)):
             with pytest.raises(ValueError, match="needs a ReLU field; 'smooth_wall'"):
                 route()
 
@@ -265,11 +265,6 @@ class TestWellTransforms:
         assert (w.q1, w.q2) == (2.5, 3.5)
         assert_well_contract(w)
 
-    def test_flipped_signs(self):
-        w = fam.relu_well_1d(0.0, 1.0).flipped()
-        assert w.outside_sign.left == -1 and w.outside_sign.right == -1
-        assert w.field.eval(np.array([2.0]))[0] < 0
-
     def test_fixed_kink_flag(self):
         # Every kink of these flows is an exact equilibrium, so flow_eval
         # composes runs of them as one increasing piecewise-linear map.
@@ -278,12 +273,13 @@ class TestWellTransforms:
         from flowmap.targets import builtin_target_1d
 
         w = fam.relu_well_1d(-0.3, 0.45)
-        wells = [w, w.translated(0.7), w.translated(-1.3).flipped(), w.flipped()]
+        walls = [w.field, w.translated(0.7).field, fam.negated_field(w.translated(-1.3).field),
+                 fam.negated_field(w.field)]
         heaviside = compile_heaviside_flow(tv_log_derivative(builtin_target_1d("pwl4")),
                                            anchor=0.0)
         contraction = build_contraction(ShrinkSpec(alpha=0.6, N=3, eps1=1e-3),
                                         fam.relu_well_nd(2), n=2)
-        fields = ([v.field for v in wells] + [f for f, _ in heaviside.steps]
+        fields = (walls + [f for f, _ in heaviside.steps]
                   + [f for f, _ in contraction.steps])
         assert len(heaviside) and len(contraction)
         assert all(f.pwl.fixes_kinks for f in fields)

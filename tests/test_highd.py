@@ -11,11 +11,12 @@ from flowmap.families import (OutsideSign, WellFunction, generic_field, relu_wel
                               sigmoid_smn)
 from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
                            build_contraction, build_grid_target, separate_points,
-                           shrink_map_1d, transport_points)
+                           transport_points)
 from flowmap.rates import compile_heaviside_flow
 from flowmap.targets import TargetSpec, builtin_target_nd
 from flowmap.tensor import tensor_transport
 from flowmap.util import collision_counts
+from helpers import shrink_map_1d
 
 WELL2 = relu_well_nd(2)
 

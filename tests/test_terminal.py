@@ -23,7 +23,7 @@ def _measure(g, sched, F, p, samples, seed):
 
 class TestLiftTargets:
     def test_identity_map(self):
-        g = TerminalMap.identity(3)
+        g = TerminalMap(np.eye(3), np.zeros(3))
         vals = np.array([[0.1, 0.2, 0.3], [1.0, -1.0, 0.0]])
         np.testing.assert_array_equal(lift_targets(vals, g), vals)
 
@@ -46,14 +46,10 @@ class TestLiftTargets:
         with pytest.raises(CoveringError):
             lift_targets(np.array([[1.0, 2.0]]), g)
 
-    def test_surjectivity_flag(self):
-        assert TerminalMap(np.array([[1.0, 0.0]]), np.zeros(1)).surjective
-        assert not TerminalMap(np.zeros((1, 2)), np.zeros(1)).surjective
-
 
 class TestComposeAndMeasure:
     def test_identity_everything_zero(self):
-        g = TerminalMap.identity(2)
+        g = TerminalMap(np.eye(2), np.zeros(2))
         F = builtin_target_nd("identity", 2)
         res = _measure(g, Schedule((), 2), F, p=2, samples=2_000, seed=0)
         assert res.value == 0.0 and res.stderr == 0.0

@@ -1,5 +1,9 @@
 """Shared helpers: Monte-Carlo measurement determinism and collision counts."""
 
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,8 @@ from flowmap.core import flow_eval
 from flowmap.families import relu_well_nd
 from flowmap.highd import approximate_lp
 from flowmap.targets import builtin_target_nd
-from flowmap.util import (collision_counts, mc_lp_error, rank_spread, sup_probe_points,
-                          worker_count)
+from flowmap.util import (MC_CHUNKS, _cell_order, collision_counts, mc_lp_error, rank_spread,
+                          sup_probe_points, worker_count)
 
 BOX = [[0.0, 1.0], [0.0, 1.0]]
 
@@ -59,6 +63,80 @@ def test_mc_of_a_built_schedule_independent_of_worker_count(monkeypatch):
         results.append(mc_lp_error(lambda x: flow_eval(sched, x), F.fn, F.domain, 1.0,
                                    20_000, seed=2))
     assert len({(r.value, r.stderr) for r in results}) == 1
+
+
+def test_mc_value_is_the_exact_mean_over_the_unordered_chunks():
+    # Each chunk is evaluated in cell order but keeps its members, so its
+    # compiled runs see the same hull and every image is bitwise the same;
+    # the exact mean does not depend on the order.
+    F = builtin_target_nd("flip", 2)
+    sched, _ = approximate_lp(F, eps=0.5, p=1.0, well=relu_well_nd(2), grid_N=4, seed=1,
+                              mc_samples=1000)
+    p, samples = 1.5, 20_000
+    res = mc_lp_error(lambda x: flow_eval(sched, x), F.fn, F.domain, p, samples, seed=2)
+    dom = np.asarray(F.domain, dtype=float)
+    pts = np.random.default_rng(2).uniform(dom[:, 0], dom[:, 1], size=(samples, 2))
+    vals = np.concatenate([np.linalg.norm(flow_eval(sched, c) - F.fn(c), axis=1) ** p
+                           for c in np.array_split(pts, MC_CHUNKS)])
+    vol = float(np.prod(dom[:, 1] - dom[:, 0]))
+    mean = math.fsum(vals.tolist()) / samples
+    var = math.fsum(((vals - mean) ** 2).tolist()) / (samples - 1)
+    assert res.value == (mean * vol) ** (1.0 / p)
+    stderr = vol ** (1.0 / p) * (1.0 / p) * mean ** (1.0 / p - 1.0) * math.sqrt(var / samples)
+    assert res.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+
+
+def test_cell_order_groups_rows_by_cell():
+    rng = np.random.default_rng(0)
+    dom = np.array([[0.0, 1.0], [-2.0, 2.0]])
+    chunk = rng.uniform(dom[:, 0], dom[:, 1], size=(5_000, 2))
+    ordered = chunk[_cell_order(chunk, dom)]
+    cells = np.floor((ordered - dom[:, 0]) / (dom[:, 1] - dom[:, 0]) * 256).astype(int)
+    key = cells[:, 0] * 256 + cells[:, 1]
+    assert np.all(np.diff(key) >= 0)
+    assert sorted(map(tuple, ordered)) == sorted(map(tuple, chunk))
+
+
+def test_mc_degenerate_boxes():
+    # A zero-width axis gets one bin (no division by its width) and a zero
+    # volume; at n = 17 every axis has one bin and every key is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = mc_lp_error(lambda x: x, lambda x: np.sin(3 * x), [[0.0, 1.0], [0.5, 0.5]],
+                           1.0, 1_000, seed=0)
+    assert flat.value == 0.0
+    res = mc_lp_error(lambda x: x, lambda x: x + 0.5, [[0.0, 1.0]] * 17, 2.0, 1_000, seed=0)
+    assert res.value == pytest.approx(0.5 * math.sqrt(17), rel=1e-12)
+
+
+BAD_LP_ARGS = [
+    (float("nan"), 10, "p must be a finite real number >= 1, got nan"),
+    (-1.0, 10, "p must be a finite real number >= 1, got -1.0"),
+    (0, 10, "p must be a finite real number >= 1, got 0"),
+    (0.5, 10, "p must be a finite real number >= 1, got 0.5"),
+    (float("inf"), 10, "p must be a finite real number >= 1, got inf"),
+    (True, 10, "p must be a finite real number >= 1, got True"),
+    ("2", 10, "p must be a finite real number >= 1, got '2'"),
+    (1.0, 0, "samples must be an integer >= 1, got 0"),
+    (1.0, -5, "samples must be an integer >= 1, got -5"),
+    (1.0, 2.0, "samples must be an integer >= 1, got 2.0"),
+    (1.0, True, "samples must be an integer >= 1, got True"),
+]
+
+
+@pytest.mark.parametrize("p, samples, match", BAD_LP_ARGS)
+def test_bad_p_and_samples_rejected(p, samples, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        mc_lp_error(lambda x: x, lambda x: x + 0.1, BOX, p, samples, seed=0)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        approximate_lp(builtin_target_nd("flip", 2), eps=0.5, p=p, well=relu_well_nd(2),
+                       mc_samples=samples)
+
+
+def test_integral_p_and_numpy_samples_accepted():
+    res = mc_lp_error(lambda x: x, lambda x: x + np.array([0.3, 0.4]), BOX, 2, np.int64(100),
+                      seed=0)
+    assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
