@@ -133,10 +133,11 @@ def test_bad_p_and_samples_rejected(p, samples, match):
                        mc_samples=samples)
 
 
-def test_integral_p_and_numpy_samples_accepted():
-    res = mc_lp_error(lambda x: x, lambda x: x + np.array([0.3, 0.4]), BOX, 2, np.int64(100),
-                      seed=0)
-    assert res.value == pytest.approx(0.5, abs=1e-12)
+@pytest.mark.parametrize("samples", [1, 2, 3, np.int64(100)])
+def test_few_samples_and_integral_p_accepted(samples):
+    # Fewer samples than chunks once raised a numpy reshape error.
+    res = mc_lp_error(lambda x: x, lambda x: x + np.array([0.3, 0.4]), BOX, 2, samples, seed=0)
+    assert res.value == pytest.approx(0.5, abs=1e-12) and res.samples == samples
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
