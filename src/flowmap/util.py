@@ -132,7 +132,8 @@ def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> 
     pts = rng.uniform(domain[:, 0], domain[:, 1], size=(samples, n))
     vol = float(np.prod(domain[:, 1] - domain[:, 0]))
     workers = worker_count()
-    chunks = [c for c in np.array_split(pts, MC_CHUNKS) if len(c)]  # none empty below 4 samples
+    # np.array_split leaves empty chunks when samples < MC_CHUNKS.
+    chunks = [c for c in np.array_split(pts, MC_CHUNKS) if len(c)]
 
     def moment(chunk):
         chunk = np.take(chunk, _cell_order(chunk, domain), axis=0)
