@@ -355,16 +355,14 @@ def _compiled_run(z: np.ndarray, run: list) -> None:
 class JacobianRecord:
     point: np.ndarray
     det: float
-    positive: Optional[bool]  # None when |det| is below the singular threshold
+    positive: Optional[bool]  # None when |det| < 1e-9
 
 
-def jacobian_sign_check(sched: Schedule, points, h: float = 1e-5,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG,
-                        singular_threshold: float = 1e-9):
+def jacobian_sign_check(sched: Schedule, points, h: float = 1e-5):
     """Central-difference Jacobian determinant of the flow map at each point.
 
-    Near-zero determinants are reported as indeterminate (positive=None)
-    rather than as failures of positivity.
+    Determinants below 1e-9 in magnitude are reported as indeterminate
+    (positive=None) rather than as failures of positivity.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -374,10 +372,10 @@ def jacobian_sign_check(sched: Schedule, points, h: float = 1e-5,
     eye = np.eye(n)
     for p in pts:
         probes = np.concatenate([p + h * eye, p - h * eye])
-        images = flow_eval(sched, probes, cfg)
+        images = flow_eval(sched, probes)
         jac = (images[:n] - images[n:]).T / (2.0 * h)
         det = float(np.linalg.det(jac))
-        positive = None if abs(det) < singular_threshold else bool(det > 0)
+        positive = None if abs(det) < 1e-9 else bool(det > 0)
         out.append(JacobianRecord(point=p.copy(), det=det, positive=positive))
     return out
 

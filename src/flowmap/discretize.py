@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, IntegratorConfig, Schedule, _check_state, _require_json_type,
-                   field_from_json, field_to_json, flow_eval, require_duration)
+from .core import (Schedule, _check_state, _require_json_type, field_from_json, field_to_json,
+                   flow_eval, require_duration)
 
 __all__ = [
     "ResNetExport",
@@ -160,8 +160,7 @@ def export_from_json(doc: dict) -> ResNetExport:
     return net
 
 
-def truncation_slope(sched: Schedule, S_list, probe_points=None,
-                     cfg: IntegratorConfig = DEFAULT_CONFIG):
+def truncation_slope(sched: Schedule, S_list, probe_points=None):
     """Fitted log-log slope of the sup-grid network-vs-flow error in S.
 
     Returns (slope, errors); the slope is None when the errors are at
@@ -173,7 +172,7 @@ def truncation_slope(sched: Schedule, S_list, probe_points=None,
         mesh = np.meshgrid(*([grid] * sched.dim), indexing="ij")
         probe_points = np.stack([m.ravel() for m in mesh], axis=1)
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    ref = flow_eval(sched, probe_points, cfg)
+    ref = flow_eval(sched, probe_points)
     errors = []
     for S in S_list:
         net = euler_discretize(sched, S)

@@ -65,7 +65,7 @@ def _multi_indices(N: int, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def build_grid_target(F: TargetSpec, N: int, p: float, subgrid: int = 6) -> GridTarget:
+def build_grid_target(F: TargetSpec, N: int, p: float) -> GridTarget:
     """Grid surrogate with a tensor-quadrature estimate of its L^p error."""
     n = F.n
     if not np.allclose(F.domain, np.tile([[0.0, 1.0]], (n, 1))):
@@ -75,8 +75,8 @@ def build_grid_target(F: TargetSpec, N: int, p: float, subgrid: int = 6) -> Grid
     corners = idx / N
     centers = (idx + 0.5) / N
     values = np.asarray(F(centers), dtype=float).reshape(len(idx), -1)
-    # Per-cell subgrid quadrature of |F - value|^p.
-    offs = (_multi_indices(subgrid, n) + 0.5) / (subgrid * N)
+    # Per-cell quadrature of |F - value|^p on a 6^n subgrid.
+    offs = (_multi_indices(6, n) + 0.5) / (6 * N)
     total = 0.0
     cellvol = (1.0 / N) ** n
     for row, corner in enumerate(corners):
@@ -352,6 +352,9 @@ def transport_points(xs, ys, well: WellFunction, eps: float, return_trace: bool 
 
 # -- assembled pipeline -------------------------------------------------------
 
+# Without grid_N, approximate_lp searches the grid sizes N = 2..MAX_GRID_N.
+MAX_GRID_N = 6
+
 
 @dataclass
 class PipelineReport:
@@ -393,7 +396,7 @@ def _probe_directions(n: int, seed: int = 1234) -> np.ndarray:
 
 def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
                    g=None, grid_N: Optional[int] = None, alpha: Optional[float] = None,
-                   seed: int = 0, mc_samples: int = 100_000, max_N: int = 6,
+                   seed: int = 0, mc_samples: int = 100_000,
                    transport_backend: str = "frozen"):
     """Build a flow map within L^p(K) distance eps of the target.
 
@@ -401,8 +404,10 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
     surrogate, eps/8 for the point match, eps/8 for the shrink-map modulus
     term, eps/4 for the mass leaked outside the shrunken cells.  Returns
     (schedule, report); the report carries the measured Monte-Carlo error at
-    the fixed seed.  Raises PipelineError up front unless the well is
-    ReLU-built, and ValueError on a bad p or mc_samples.
+    the fixed seed.  The grid is ``grid_N`` per axis if given, else the
+    first N = 2..MAX_GRID_N whose surrogate is within eps/2; a PipelineError
+    names the N <= MAX_GRID_N cap when none is.  Raises PipelineError up front
+    unless the well is ReLU-built, and ValueError on a bad p or mc_samples.
     """
     require_lp_args(p, mc_samples)
     n = F.n
@@ -416,14 +421,14 @@ def approximate_lp(F: TargetSpec, eps: float, p: float, well: WellFunction,
 
     # 1. Grid surrogate within eps/2.
     grid = None
-    for N in ([grid_N] if grid_N else range(2, max_N + 1)):
+    for N in ([grid_N] if grid_N else range(2, MAX_GRID_N + 1)):
         cand = build_grid_target(F, N, p)
         if cand.certified_error <= eps / 2.0 or grid_N:
             grid = cand
             break
     if grid is None:
         raise PipelineError(f"grid budget infeasible: error {cand.certified_error:.3g} "
-                            f"> eps/2 at the N <= {max_N} cap")
+                            f"> eps/2 at the N <= {MAX_GRID_N} cap")
     if grid.certified_error > eps / 2.0:
         raise PipelineError(f"grid budget infeasible at N={grid.N}: "
                             f"{grid.certified_error:.3g} > eps/2")

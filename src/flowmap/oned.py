@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, IntegratorConfig, Schedule, flow_eval
+from .core import Schedule, flow_eval
 from .families import WellFunction, negated_field
 from .rates import compile_pwl_map
 from .targets import Target1D
@@ -120,8 +120,7 @@ class MatchResult:
         return len(self.stage_ends)
 
 
-def match_points_result(p: PointMatchProblem,
-                        cfg: IntegratorConfig = DEFAULT_CONFIG) -> MatchResult:
+def match_points_result(p: PointMatchProblem) -> MatchResult:
     """Inductive construction mapping xs[k] to ys[k] within p.eps for all k.
 
     Stage k drives the image of xs[k] to ys[k] after squeezing the already
@@ -129,8 +128,8 @@ def match_points_result(p: PointMatchProblem,
     squeeze exactly.  Squeeze and drive times are closed-form hitting times:
     since the unsqueeze inverts the squeeze S, the drive takes S(cur) to
     S(target).  Each stage must land within eps / (10 m) of its target, so
-    stage errors cannot accumulate past eps; ``cfg`` integrates the final
-    verification of the whole schedule.
+    stage errors cannot accumulate past eps; the whole schedule is then
+    verified with ``flow_eval``.
 
     The squeeze parks points close to the drive well's zero interval, so the
     well's walls must grow promptly away from it; ``PointMatchProblem``
@@ -197,7 +196,7 @@ def match_points_result(p: PointMatchProblem,
         stage_ends.append(len(steps))
 
     sched = Schedule(tuple(steps), 1)
-    achieved = flow_eval(sched, xs[:, None], cfg)[:, 0]
+    achieved = flow_eval(sched, xs[:, None])[:, 0]
     errs = np.abs(achieved - ys)
     if np.any(errs > p.eps):
         raise TransportError(f"match verification failed: max error {errs.max():.3g} > {p.eps:.3g}")
@@ -256,7 +255,8 @@ def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
         # more than eps/4, unless the level's sample budget binds.  The count
         # is odd, so no interior sample lands on the dyadic probe grid or on
         # a deeper cell's end.
-        gaps = min(math.ceil(4.0 * rise / eps), MAX_LEVEL_GAPS // len(lo)) | 1
+        need = math.ceil(4.0 * rise / eps)
+        gaps = min(need, MAX_LEVEL_GAPS // len(lo)) | 1
         t = np.linspace(0.0, 1.0, gaps + 1)
         x = lo[:, None] + (hi - lo)[:, None] * t
         x[:, -1] = hi
@@ -279,8 +279,11 @@ def _partition(fn, a: float, b: float, eps: float, rise: float, scale: float):
         accepted += int(np.count_nonzero(ok))
         lo, hi, rise = lo[~ok], hi[~ok], float(np.max(inc[~ok], initial=0.0))
         if accepted + 2 * len(lo) > MAX_PARTITION:
-            raise ValueError(f"partition needs more than MAX_PARTITION = {MAX_PARTITION} "
-                             f"cells at eps {eps:g}")
+            msg = f"partition needs more than MAX_PARTITION = {MAX_PARTITION} cells at eps {eps:g}"
+            if gaps < need:  # the sample budget, not the cell cap, is what binds
+                msg += (f"; MAX_LEVEL_GAPS = {MAX_LEVEL_GAPS} capped its last level at {gaps} "
+                        f"gaps per cell where {need} were needed")
+            raise ValueError(msg)
         mid = 0.5 * (lo + hi)
         stuck = (mid <= lo) | (mid >= hi)
         if stuck.any():
@@ -302,8 +305,7 @@ def _require_relu_well(well: WellFunction) -> None:
 
 
 def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
-                      domain: Optional[tuple] = None,
-                      probe_points: int = 1024) -> ApproxResult:
+                      domain: Optional[tuple] = None) -> ApproxResult:
     """Uniformly approximate an increasing continuous target by a flow map.
 
     Bisects the domain's cells until the interpolant is within eps/2 of the
@@ -336,7 +338,7 @@ def approx_increasing(phi, eps: float, well: Optional[WellFunction] = None,
                                      "are increasing, so no schedule can approximate it")
         nodes, max_bound, n_cert, n_sampled = pwl.breakpoints, 0.0, 0, 0
     else:
-        grid = np.linspace(a, b, probe_points + 1)
+        grid = np.linspace(a, b, 1025)  # the dyadic probe grid: 1024 cells
         vals = np.asarray(fn(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("target is not finite on its domain")

@@ -62,12 +62,16 @@ class LogDerivativeProfile:
         return bool(np.all(d >= 0) or np.all(d <= 0))
 
 
+# The sampled TV estimate doubles its grid up to this many derivative samples.
+TV_MAX_SAMPLES = 200_001
+
+
 def _extended_tv(values: np.ndarray) -> float:
     terms = [abs(values[0])] + [abs(d) for d in np.diff(values)] + [abs(values[-1])]
     return math.fsum(terms)
 
 
-def tv_log_derivative(target: Target1D, samples: int = 200_001) -> LogDerivativeProfile:
+def tv_log_derivative(target: Target1D) -> LogDerivativeProfile:
     """Total variation of ln(phi') under the extension convention.
 
     Exact for piecewise-linear targets carrying breakpoints; otherwise a
@@ -97,7 +101,7 @@ def tv_log_derivative(target: Target1D, samples: int = 200_001) -> LogDerivative
                 / (np.minimum(x + h, 1.0) - np.maximum(x - h, 0.0))
 
     prev = None
-    n = max(2001, samples // 4)
+    n = max(2001, TV_MAX_SAMPLES // 4)
     while True:
         xs = np.linspace(0.0, 1.0, n)
         d = du(xs)
@@ -108,10 +112,10 @@ def tv_log_derivative(target: Target1D, samples: int = 200_001) -> LogDerivative
         tv = tv_int + abs(float(u[0])) + abs(float(u[-1]))
         if prev is not None and abs(tv - prev) <= 1e-7 * max(1.0, tv):
             break
-        if n >= samples:
+        if n >= TV_MAX_SAMPLES:
             break
         prev = tv
-        n = min(samples, 2 * n)
+        n = min(TV_MAX_SAMPLES, 2 * n)
     return LogDerivativeProfile(kind="sampled", breakpoints=xs[1:-1], values=u,
                                 tv=tv, tv_interior=tv_int, pieces=len(u))
 
@@ -162,8 +166,7 @@ def _prefix_images(breakpoints: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(widths * np.exp(values))])
 
 
-def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
-                           slack: float = 0.01) -> Schedule:
+def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float) -> Schedule:
     """Exact flow-map realization of an increasing target with pwc ln(phi').
 
     Each jump of height a at location c becomes the flow of sign(a) *
@@ -172,7 +175,7 @@ def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
     itself, since later stages fix everything left of their kinks.  So every
     kink is a prefix sum of piece widths times exp(values), computed in one
     pass.  Every stage fixes 0, so phi(0) = 0 and a nonzero anchor is added by
-    the translation gadget on [0, max(phi(1), 1)] within the given slack.
+    the translation gadget on [0, max(phi(1), 1)] in time 0.01.
     Total stage time equals the decomposition cost (the extended TV).
     """
     dec = profile_to_jumps(profile)
@@ -181,7 +184,7 @@ def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float,
                   for (_, a), kink in zip(dec.jumps, img.tolist()) if a != 0.0)
     sched = Schedule(steps, 1)
     if anchor != 0.0:
-        sched = sched.then(translation_gadget(anchor, slack, lo=0.0, hi=max(float(img[-1]), 1.0)))
+        sched = sched.then(translation_gadget(anchor, 0.01, lo=0.0, hi=max(float(img[-1]), 1.0)))
     return sched
 
 
@@ -280,9 +283,6 @@ class GammaResult:
     optimal: bool  # closed-form cases; False means certified upper bound only
     kind: str
 
-    def __float__(self):
-        return self.value
-
 
 def _lazy_tube_cost(values: np.ndarray, gamma: float) -> float:
     """Total variation of the lazy path through the gamma-tube around u.
@@ -358,8 +358,8 @@ class BudgetedApproximation:
     budget: float
 
 
-def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> BudgetedApproximation:
-    """Constructed approximant within time budget T (plus translation slack).
+def budgeted_schedule(target: Target1D, T: float) -> BudgetedApproximation:
+    """Constructed approximant within time budget T (plus the translation's 0.01).
 
     Quantizes u toward zero by gamma (monotone u of one sign: soft shrink,
     which is exactly budget-tight; any other u: tube projection), compiles the
@@ -374,7 +374,7 @@ def budgeted_schedule(target: Target1D, T: float, slack: float = 0.01) -> Budget
                                     tv_interior=math.fsum(abs(d) for d in np.diff(v)),
                                     pieces=len(v))
     anchor = float(np.asarray(target.fn(0.0), dtype=float))
-    sched = compile_heaviside_flow(qprofile, anchor, slack=slack)
+    sched = compile_heaviside_flow(qprofile, anchor)
     return BudgetedApproximation(schedule=sched, gamma=g, quantized_values=v,
                                  quantized_tv=vtv, budget=T)
 

@@ -53,7 +53,7 @@ def _clusters(values) -> np.ndarray:
     return ranks
 
 
-def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
+def tensor_field(g: VectorField, n: int) -> VectorField:
     """Coordinatewise field (g(x_1), ..., g(x_n)) from a scalar field g.
 
     The exact flow, when g has one, is g's exact flow applied to one
@@ -78,7 +78,7 @@ def tensor_field(g: VectorField, n: int, label: str = "tensor") -> VectorField:
 
     tag = "tensor" if g.tag is not None else None
     return VectorField(dim=n, eval=evaluate, lipschitz_bound=g.lipschitz_bound,
-                       label=label, tag=tag, params=params if tag else None,
+                       label="tensor", tag=tag, params=params if tag else None,
                        exact_flow=exact, pwl=g.pwl)
 
 

@@ -69,7 +69,7 @@ class TerminalMap:
         return TerminalMap(doc["W"], doc["c"])
 
 
-def lift_targets(values, g: TerminalMap, tol: float = 1e-9) -> np.ndarray:
+def lift_targets(values, g: TerminalMap) -> np.ndarray:
     """Minimum-norm preimages z with g(z) = value for each row of values.
 
     Exact for full-row-rank affine maps; a rank-deficient map with a value
@@ -81,7 +81,7 @@ def lift_targets(values, g: TerminalMap, tol: float = 1e-9) -> np.ndarray:
     z = (vals - g.c) @ np.linalg.pinv(g.W).T
     residual = np.max(np.abs(z @ g.W.T + g.c - vals))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if residual > tol * scale:
+    if residual > 1e-9 * scale:
         raise CoveringError(f"values lie {residual:.3g} off the terminal map's range; "
                             "the covering condition F(K) within g(R^n) fails")
     return z

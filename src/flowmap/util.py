@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MeasureResult", "mc_lp_error", "require_lp_args", "worker_count",
-           "collision_counts", "rank_spread", "spread_targets", "sup_probe_points"]
+__all__ = ["MeasureResult", "mc_lp_error", "require_lp_args", "collision_counts",
+           "rank_spread", "spread_targets", "sup_probe_points"]
 
 
 def collision_counts(points) -> list:
@@ -72,25 +70,11 @@ class MeasureResult:
     samples: int
     seed: int
 
-    def __float__(self):
-        return self.value
 
-
-# Monte-Carlo samples are split into this many chunks whatever the worker
-# count, so each chunk's compiled runs see the same hull on every pool size.
+# Monte-Carlo samples are evaluated in this many chunks, one after another.
+# The compiled runs take their breakpoints from each chunk's hull, so the
+# chunking fixes the images; it also bounds the temporaries.
 MC_CHUNKS = 4
-
-
-def worker_count() -> int:
-    """Worker threads from FLOWMAP_THREADS (default 1); anything but an int >= 1 raises."""
-    raw = os.environ.get("FLOWMAP_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"FLOWMAP_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
 
 
 def require_lp_args(p, samples) -> None:
@@ -116,14 +100,13 @@ def _cell_order(chunk: np.ndarray, domain: np.ndarray) -> np.ndarray:
 def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> MeasureResult:
     """Monte-Carlo estimate of the L^p(K) distance between two maps on a box.
 
-    The sample set is fixed by the seed and split into ``MC_CHUNKS`` chunks
-    whose partial results are combined in a fixed order; the worker count
-    (FLOWMAP_THREADS) only sets how many chunks run at once, so the result is
-    byte-identical for a given (seed, samples) on any pool size.  Each chunk is
-    evaluated in cell order (``_cell_order``), so consecutive points meet the
-    same interpolation segments; it keeps its members, so its hull.  ``value``
-    is the exact mean (``math.fsum``), which no order changes; ``stderr``
-    comes from a pairwise sum.  Bad p or samples raise ValueError.
+    The sample set is fixed by the seed and split into ``MC_CHUNKS`` chunks,
+    evaluated in turn, so the result is byte-identical for a given (seed,
+    samples).  Each chunk is evaluated in cell order (``_cell_order``), so
+    consecutive points meet the same interpolation segments; it keeps its
+    members, so its hull.  ``value`` is the exact mean (``math.fsum``), which
+    no order changes; ``stderr`` comes from a pairwise sum.  Bad p or samples
+    raise ValueError.
     """
     require_lp_args(p, samples)
     domain = np.asarray(domain, dtype=float)
@@ -131,21 +114,13 @@ def mc_lp_error(f_approx, f_true, domain, p: float, samples: int, seed: int) -> 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(domain[:, 0], domain[:, 1], size=(samples, n))
     vol = float(np.prod(domain[:, 1] - domain[:, 0]))
-    workers = worker_count()
     # np.array_split leaves empty chunks when samples < MC_CHUNKS.
     chunks = [c for c in np.array_split(pts, MC_CHUNKS) if len(c)]
-
-    def moment(chunk):
+    parts = []
+    for chunk in chunks:
         chunk = np.take(chunk, _cell_order(chunk, domain), axis=0)
         gap = np.asarray(f_approx(chunk), dtype=float) - np.asarray(f_true(chunk), dtype=float)
-        r = np.linalg.norm(np.atleast_2d(gap.reshape(len(chunk), -1)), axis=1)
-        return r ** p
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(moment, chunks))
-    else:
-        parts = [moment(c) for c in chunks]
+        parts.append(np.linalg.norm(np.atleast_2d(gap.reshape(len(chunk), -1)), axis=1) ** p)
     vals = np.concatenate(parts)
     mean = math.fsum(vals.tolist()) / samples
     var = float(np.sum(np.square(vals - mean))) / max(1, samples - 1)  # pairwise, not BLAS

@@ -256,5 +256,5 @@ class TestPipeline:
             return np.sin(40 * x)
 
         F = TargetSpec(fn=wiggly, n=2, m=2, domain=[[0, 1], [0, 1]], name="wiggly")
-        with pytest.raises(PipelineError, match="grid budget"):
-            approximate_lp(F, eps=0.05, p=2, well=WELL2, max_N=3)
+        with pytest.raises(PipelineError, match="grid budget infeasible.*N <= 6 cap"):
+            approximate_lp(F, eps=0.05, p=2, well=WELL2)

@@ -10,7 +10,7 @@ from flowmap.core import IntegratorConfig, Schedule, flow_eval
 from flowmap.families import (OutsideSign, WellFunction, generic_field, negated_field,
                               relu_well_1d, sigmoid_smn, sigmoid_soft_threshold,
                               soft_threshold_well_1d)
-from flowmap.oned import (MAX_PARTITION, NotIncreasingError, PointMatchProblem,
+from flowmap.oned import (MAX_LEVEL_GAPS, MAX_PARTITION, NotIncreasingError, PointMatchProblem,
                           TransportError, approx_increasing, match_points_result,
                           transport_time)
 from flowmap.targets import PwlData, builtin_target_1d
@@ -215,6 +215,16 @@ class TestApproxIncreasing:
         # far more than MAX_PARTITION cells on smooth1.
         with pytest.raises(ValueError, match=f"MAX_PARTITION = {MAX_PARTITION} cells at eps 1e-12"):
             approx_increasing(builtin_target_1d("smooth1"), 1e-12)
+
+    @pytest.mark.parametrize("name", ["smooth1", "quad"])
+    def test_level_gap_cap_named_when_it_binds(self, name):
+        # At eps 1e-6 a level needs about 4 rise / eps gaps in all, far above
+        # MAX_LEVEL_GAPS = 2^18: cells are bisected until the cell cap is hit,
+        # but the sample cap is what binds.
+        with pytest.raises(ValueError, match=rf"MAX_LEVEL_GAPS = {MAX_LEVEL_GAPS} capped its "
+                                             r"last level at \d+ gaps per cell where \d+ "
+                                             r"were needed"):
+            approx_increasing(builtin_target_1d(name), 1e-6)
 
     def test_jump_named_when_its_cell_cannot_be_bisected(self):
         def step(x):
