@@ -213,8 +213,8 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     """Endpoint of the schedule's flow from x.
 
     x may be a single point of shape (dim,) or a batch (..., dim); the result
-    has the same shape, and an empty batch is returned as it is.
-    Deterministic for a fixed config.
+    is a new C-contiguous array of the same shape, and an empty batch is
+    returned as a copy.  Deterministic for a fixed config.
 
     Under ``closed_form_if_available``, two kinds of run of consecutive live
     steps are composed exactly and evaluated by interpolation, which moves
@@ -224,41 +224,68 @@ def flow_eval(sched: Schedule, x, cfg: IntegratorConfig = DEFAULT_CONFIG) -> np.
     single-pair frozen drives (``VectorField.drive``) in which no step reads
     a coordinate that another drives becomes one piecewise-linear increment
     z_i += G_ij(z_j) per (driven, read) pair.  Every other step runs as its
-    own step.  The guard holds after every step, run steps included.
+    own step, on the points in x's layout.
+
+    The state is kept column-major, one contiguous row per coordinate, so
+    that every column a run reads, writes or reduces is contiguous.  The
+    guard holds after every step, run steps included: a step of its own is
+    followed by a check of the whole state, and a run is checked on its own
+    tables, which bound every column it moves (the images of its hull ends,
+    base + peak of its drives) up to the rounding of one interpolation.  A
+    column that no run moves keeps its entry values, so the entry pass that
+    rejects a non-finite x also takes max|x|; when that is beyond the guard,
+    the whole state is checked after the first live step.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (sched.dim,):
-        raise ValueError(f"point shape {x.shape} incompatible with dim {sched.dim}")
-    if not np.all(np.isfinite(x)):
+    dim = sched.dim
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"point shape {x.shape} incompatible with dim {dim}")
+    if x.size == 0:
+        return x.copy()
+    z = x.reshape(-1, dim).T.copy()  # z[k] is coordinate k of every point
+    peak = np.max(np.abs(z))  # one reduction; NaN if any entry is NaN
+    if not math.isfinite(peak):
         raise ValueError("initial point must be finite")
-    z = x.copy()
-    if z.size == 0:
-        return z
+    unchecked = peak > BLOWUP_LIMIT
     exact = cfg.method == "closed_form_if_available"
-    kind, run = None, []  # the pending run's evaluator and its (table, tau) steps
-    for f, tau in sched.steps:
+    for kind, run in _runs(sched.steps, exact):
+        if kind is None:
+            f, tau = run[0]
+            rows = np.ascontiguousarray(z.T).reshape(x.shape)
+            if exact and f.exact_flow is not None:
+                rows = f.exact_flow(rows, tau)
+            else:
+                rows = _rk45_step_field(f, rows, tau, cfg)
+            _check_state(rows)
+            z = rows.reshape(-1, dim).T.copy()
+        else:
+            kind(z, run)
+            if unchecked:
+                _check_state(z)
+        unchecked = False
+    return np.ascontiguousarray(z.T).reshape(x.shape)
+
+
+def _runs(steps, exact: bool):
+    """The live (tau > 0) steps as (evaluator, run) pairs, in order.
+
+    A run is a list of (drive, tau) for ``_drive_run``, of (pwl, tau) for
+    ``_compiled_run``, and a single (field, tau) when the evaluator is None.
+    """
+    kind, run = None, []
+    for f, tau in steps:
         if tau == 0.0:
             continue
         step_kind = _run_kind(f) if exact else None
-        if step_kind is not kind or (kind is _drive_run and not _commutes(f.drive, run)):
+        if (step_kind is None or step_kind is not kind
+                or (kind is _drive_run and not _commutes(f.drive, run))):
             if run:
-                kind(z, run)
-                _check_state(z)
+                yield kind, run
             kind, run = step_kind, []
-        if kind is _drive_run:
-            run.append((f.drive, tau))
-        elif kind is _compiled_run:
-            run.append((f.pwl, tau))
-        else:
-            if exact and f.exact_flow is not None:
-                z = f.exact_flow(z, tau)
-            else:
-                z = _rk45_step_field(f, z, tau, cfg)
-            _check_state(z)
+        run.append((f.drive if kind is _drive_run else f.pwl if kind is _compiled_run else f,
+                    tau))
     if run:
-        kind(z, run)
-        _check_state(z)
-    return z
+        yield kind, run
 
 
 def _run_kind(f: VectorField):
@@ -277,7 +304,8 @@ def _commutes(drive: tuple, run: list) -> bool:
 
 
 def _drive_run(z: np.ndarray, run: list) -> None:
-    """Apply a run of commuting single-pair frozen drives ((i, j, g), tau) to z in place.
+    """Apply a run of commuting single-pair frozen drives ((i, j, g), tau) to
+    the column-major state z in place.
 
     No step reads a coordinate that the run drives, so every column read
     stays fixed, and the steps on one (driven i, read j) pair compose into
@@ -287,14 +315,15 @@ def _drive_run(z: np.ndarray, run: list) -> None:
     S_L is interpolated, which moves results at roundoff against stepping.
     A partial sum takes its extremes at B, so max |z_i| plus the peaks of
     its pairs' partial sums bound every intermediate state; only a step
-    where that bound crosses the guard has its exact partial state checked.
+    where that bound crosses the guard (or is not finite) has its exact
+    partial state checked.
     """
     pairs: dict = {}
     for (i, j, g), tau in run:
         pairs.setdefault((i, j), []).append((g, tau))
     tables = {}
     for (i, j), steps in pairs.items():
-        col = z[..., j]
+        col = z[j]
         lo, hi = col.min(), col.max()
         kinks = np.concatenate([g.kinks for g, _ in steps])
         B = np.unique(np.concatenate(([lo, hi], kinks[(kinks > lo) & (kinks < hi)])))
@@ -303,21 +332,22 @@ def _drive_run(z: np.ndarray, run: list) -> None:
 
     def increment(i, j, k):
         B, S, _ = tables[i, j]
-        return np.interp(z[..., j], B, S[k])
+        return np.interp(z[j], B, S[k])
 
-    base = {i: np.max(np.abs(z[..., i])) for i, _ in pairs}
+    base = {i: np.max(np.abs(z[i])) for i, _ in pairs}
     done = dict.fromkeys(pairs, -1)
     for (i, j, _), _ in run:
         done[i, j] += 1
         mine = [(i2, j2) for i2, j2 in pairs if i2 == i and done[i2, j2] >= 0]
-        if base[i] + sum(tables[key][2][done[key]] for key in mine) > BLOWUP_LIMIT:
-            _check_state(z[..., i] + sum(increment(*key, done[key]) for key in mine))
+        if not base[i] + sum(tables[key][2][done[key]] for key in mine) <= BLOWUP_LIMIT:
+            _check_state(z[i] + sum(increment(*key, done[key]) for key in mine))
     for i, j in pairs:
-        z[..., i] += increment(i, j, -1)
+        z[i] += increment(i, j, -1)
 
 
 def _compiled_run(z: np.ndarray, run: list) -> None:
-    """Apply a run of (PwlField, tau) steps that fix their kinks to z, column by column.
+    """Apply a run of (PwlField, tau) steps that fix their kinks to the
+    column-major state z in place, column by column.
 
     Each step maps every piece between its kinks onto itself by an affine
     map, and only the tails beyond its outermost kinks move (the pieces
@@ -328,8 +358,7 @@ def _compiled_run(z: np.ndarray, run: list) -> None:
     image of its breakpoint and the guard sees the column's extremes after
     every step.  One interpolation then finishes the column.
     """
-    for k in range(z.shape[-1]):
-        col = z[..., k]
+    for k, col in enumerate(z):
         B = Y = np.array([col.min(), col.max()])  # Y is B while the map is the identity
         for pwl, tau in run:
             kinks = pwl.kinks
@@ -348,7 +377,7 @@ def _compiled_run(z: np.ndarray, run: list) -> None:
                 Y[moving] = pwl.flow(Y[moving], tau)
             _check_state(Y[[0, -1]])
         if Y is not B:
-            z[..., k] = np.interp(col, B, Y)
+            z[k] = np.interp(col, B, Y)
 
 
 @dataclass(frozen=True)
@@ -361,6 +390,7 @@ class JacobianRecord:
 def jacobian_sign_check(sched: Schedule, points, h: float = 1e-5):
     """Central-difference Jacobian determinant of the flow map at each point.
 
+    The 2 dim probes of every point are evaluated in one ``flow_eval`` call.
     Determinants below 1e-9 in magnitude are reported as indeterminate
     (positive=None) rather than as failures of positivity.
     """
@@ -368,13 +398,12 @@ def jacobian_sign_check(sched: Schedule, points, h: float = 1e-5):
         raise ValueError("h must be positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = sched.dim
+    step = h * np.eye(n)
+    probes = np.concatenate([pts[:, None] + step, pts[:, None] - step], axis=1)
+    images = flow_eval(sched, probes)
+    jacs = (images[:, :n] - images[:, n:]).transpose(0, 2, 1) / (2.0 * h)
     out = []
-    eye = np.eye(n)
-    for p in pts:
-        probes = np.concatenate([p + h * eye, p - h * eye])
-        images = flow_eval(sched, probes)
-        jac = (images[:n] - images[n:]).T / (2.0 * h)
-        det = float(np.linalg.det(jac))
+    for p, det in zip(pts, np.linalg.det(jacs).tolist()):
         positive = None if abs(det) < 1e-9 else bool(det > 0)
         out.append(JacobianRecord(point=p.copy(), det=det, positive=positive))
     return out

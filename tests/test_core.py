@@ -128,6 +128,52 @@ class TestFlowEval:
         with pytest.raises(BlowupError, match=message):
             flow_eval(sched, x)
 
+    def test_guard_sees_a_column_the_schedule_only_reads(self):
+        # Column 0 is read, never moved, so no run table bounds it; the parent
+        # caught it in a scan of the whole state after the run.
+        drive = relu_field([[0, 0], [1, 0]], [[1, 0], [0, 0]], [0, 0])
+        assert drive.drive is not None
+        with pytest.raises(BlowupError, match="exceeded guard"):
+            flow_eval(Schedule(((drive, 0.5),), 2), np.array([2e12, 0.0]))
+
+    def test_entry_beyond_the_guard_is_checked_after_the_first_live_step(self):
+        # Without a live step nothing is checked, and a first step that
+        # brings the state back inside the guard passes.
+        drive = relu_field([[0, 0], [1, 0]], [[1, 0], [0, 0]], [0, 0])
+        x = np.array([[2e12, 0.0], [-3e12, 1.0]])
+        for sched in (Schedule((), 2), Schedule(((drive, 0.0), (drive, 0.0)), 2)):
+            out = flow_eval(sched, x)
+            assert out is not x
+            np.testing.assert_array_equal(out, x)
+        shrink = field_from_terms_1d([(-1.0, 1.0, 0.0)])
+        out = flow_eval(Schedule(((shrink, 1.0),), 1), np.array([2e12]))
+        assert out[0] == pytest.approx(2e12 / math.e, rel=1e-15)
+
+    def test_guard_sees_a_non_finite_drive_table(self):
+        # g = relu(1e308 z0) - relu(1e308 z0) is inf - inf = nan at z0 = 10,
+        # so the run's bound is nan and its partial state must be checked.
+        drive = relu_field([[0, 0], [1, -1]], [[1e308, 0], [1e308, 0]], [0, 0])
+        assert drive.drive is not None
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowupError, match="non-finite"):
+            flow_eval(Schedule(((drive, 1.0),), 2), np.array([[10.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_result_is_a_c_contiguous_copy_of_the_input_shape(self, shape):
+        drive = relu_field([[0, 0], [1, 0]], [[1, 0], [0, 0]], [0, -0.2])
+        well = tensor_field(relu_well_1d(-0.7, 0.3).field, 2)
+        shear = relu_field([[1.0], [0.5]], [[1.0, 0.0]], [0.2])  # a step of its own
+        x = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+        for steps in ((), ((drive, 0.5),), ((well, 0.7),), ((shear, 0.3),),
+                      ((drive, 0.5), (shear, 0.3), (well, 0.7))):
+            sched = Schedule(steps, 2)
+            ref = flow_eval(sched, x)
+            for inp in (x, np.asfortranarray(x), np.repeat(x, 2, axis=-1)[..., ::2]):
+                out = flow_eval(sched, inp)
+                assert out.shape == shape and out.flags.c_contiguous
+                assert not np.shares_memory(out, inp)
+                np.testing.assert_array_equal(out, ref)
+
     def test_step_budget(self):
         rough = generic_field(lambda z: np.sin(1000.0 * z), 1, 1000.0, "stiff")
         cfg = IntegratorConfig(method="rk45_adaptive", tol=1e-10, max_steps=10)

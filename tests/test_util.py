@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from flowmap.core import flow_eval
 from flowmap.families import relu_well_nd
 from flowmap.highd import approximate_lp
 from flowmap.targets import builtin_target_nd
-from flowmap.util import (MC_CHUNKS, _cell_order, collision_counts, mc_lp_error, rank_spread,
+from flowmap.util import (_cell_order, collision_counts, exact_sum, mc_lp_error, rank_spread,
                           sup_probe_points)
 
 BOX = [[0.0, 1.0], [0.0, 1.0]]
@@ -61,8 +62,8 @@ def test_mc_reads_no_thread_variable_and_loads_no_pool(monkeypatch):
     assert proc.stdout.strip() == "False"
 
 
-def test_mc_value_is_the_exact_mean_over_the_unordered_chunks():
-    # Each chunk is evaluated in cell order but keeps its members, so its
+def test_mc_value_is_the_exact_mean_over_the_unordered_batch():
+    # The batch is evaluated in cell order but keeps its members, so its
     # compiled runs see the same hull and every image is bitwise the same;
     # the exact mean does not depend on the order.
     F = builtin_target_nd("flip", 2)
@@ -72,14 +73,78 @@ def test_mc_value_is_the_exact_mean_over_the_unordered_chunks():
     res = mc_lp_error(lambda x: flow_eval(sched, x), F.fn, F.domain, p, samples, seed=2)
     dom = np.asarray(F.domain, dtype=float)
     pts = np.random.default_rng(2).uniform(dom[:, 0], dom[:, 1], size=(samples, 2))
-    vals = np.concatenate([np.linalg.norm(flow_eval(sched, c) - F.fn(c), axis=1) ** p
-                           for c in np.array_split(pts, MC_CHUNKS)])
+    vals = np.linalg.norm(flow_eval(sched, pts) - F.fn(pts), axis=1) ** p
     vol = float(np.prod(dom[:, 1] - dom[:, 0]))
     mean = math.fsum(vals.tolist()) / samples
     var = math.fsum(((vals - mean) ** 2).tolist()) / (samples - 1)
     assert res.value == (mean * vol) ** (1.0 / p)
     stderr = vol ** (1.0 / p) * (1.0 / p) * mean ** (1.0 / p - 1.0) * math.sqrt(var / samples)
     assert res.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+
+
+def _fsum_or_error(values):
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as e:
+        return type(e)
+
+
+def assert_exact_sum_is_fsum(values):
+    ref = _fsum_or_error(list(values))
+    if isinstance(ref, type):
+        with pytest.raises(ref):
+            exact_sum(np.array(values, dtype=float))
+        return
+    got = exact_sum(np.array(values, dtype=float))
+    assert type(got) is float
+    if math.isnan(ref):
+        assert math.isnan(got)
+    else:
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+# Values of every binary exponent, subnormals and zeros among them, but small
+# enough that the vectorised sum runs; and any float at all, where the sum
+# may defer to ``fsum`` for its overflow and special-value rules.
+SCALED = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 1013,
+                         math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(SCALED, EDGES, st.floats()), max_size=40))
+@example([])
+@example([-0.0])
+@example([5e-324])
+@example([1.7976931348623157e308, 1.7976931348623157e308])
+@example([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([math.inf, 1.0])
+@example([math.inf, -math.inf])
+@example([math.nan, 1.0])
+@example([1e16, 1.0, -1e16])
+def test_exact_sum_is_fsum(values):
+    assert_exact_sum_is_fsum(values)
+
+
+@given(st.lists(SCALED, max_size=40))
+def test_exact_sum_of_scaled_values_is_fsum(values):
+    assert_exact_sum_is_fsum(values)
+
+
+def test_exact_sum_is_fsum_over_many_blocks():
+    # More values than one block of bins holds, one exponent shared by all
+    # (the largest mantissa, both signs), and sets from the Monte-Carlo use.
+    rng = np.random.default_rng(0)
+    cases = [rng.random(100_001) ** 1.7, rng.normal(0.0, 1e-3, 70_000),
+             rng.lognormal(0.0, 10.0, 70_000), np.full(70_000, 1.0 - 2.0 ** -53),
+             np.full(70_000, -(1.0 - 2.0 ** -53)), rng.random(50_000) * 2.0 ** -1060,
+             rng.normal(size=50_000) * 2.0 ** 1000]
+    for vals in cases:
+        assert exact_sum(vals) == math.fsum(vals.tolist())
+    # Both sides of the bound where the sum defers to fsum: 2^1023 / count.
+    for scale in (2.0 ** 1006, 2.0 ** 1008):
+        vals = np.full(2 ** 16, scale) * rng.random(2 ** 16)
+        assert exact_sum(vals) == math.fsum(vals.tolist())
 
 
 def test_cell_order_groups_rows_by_cell():
