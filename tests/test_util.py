@@ -1,4 +1,4 @@
-"""Shared helpers: Monte-Carlo measurement determinism and collision counts."""
+"""Shared helpers: Monte-Carlo measurement determinism, the exact sum, collision counts."""
 
 import math
 import os
