@@ -20,9 +20,8 @@ from .splitting import average_flow_schedule
 from .oned import (ApproxResult, MatchResult, NotIncreasingError,
                    PointMatchProblem, TransportError, approx_increasing,
                    match_points_result, transport_time)
-from .rates import (GammaResult, HeavisideDecomposition, LogDerivativeProfile,
-                    budgeted_schedule, compile_heaviside_flow,
-                    compile_pwl_map, gamma_relaxed, profile_to_jumps,
+from .rates import (GammaResult, LogDerivativeProfile, budgeted_schedule,
+                    compile_heaviside_flow, compile_pwl_map, gamma_relaxed,
                     rate_sweep, translation_gadget, tv_log_derivative)
 from .targets import (Target1D, TargetSpec, builtin_target_1d,
                       builtin_target_nd, parse_target, target_1d_from_csv,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Schedule, flow_eval
 from .families import AffineRestriction, WellFunction, apply_restriction, relu_field
-from .rates import LogDerivativeProfile, compile_heaviside_flow
+from .rates import compile_pwl_map
 from .targets import TargetSpec
 from .tensor import tensor_field, tensor_transport
 from .util import collision_counts, mc_lp_error, require_lp_args, spread_targets
@@ -107,43 +107,29 @@ class ShrinkSpec:
             raise ValueError("eps1 must be positive")
 
 
-def _staircase_profile(alpha: float, N: int, beta: float) -> LogDerivativeProfile:
-    """Strictly increasing staircase: slope beta on flats, balanced on risers.
-
-    The riser slope is chosen so every cell gains exactly 1/N, which pins the
-    flat of cell i to start exactly at value i/N.
-    """
-    riser = (1.0 - alpha * beta) / (1.0 - alpha)
-    vals = []
-    bps = []
-    for i in range(N):
-        vals.extend([math.log(beta), math.log(riser)])
-        bps.extend([(i + alpha) / N, (i + 1.0) / N])
-    bps = np.asarray(bps[:-1])
-    u = np.asarray(vals)
-    tv_int = math.fsum(abs(d) for d in np.diff(u))
-    tv = tv_int + abs(u[0]) + abs(u[-1])
-    return LogDerivativeProfile(kind="pwc", breakpoints=bps, values=u,
-                                tv=tv, tv_interior=tv_int, pieces=len(u))
-
-
 def build_contraction(spec: ShrinkSpec, well: WellFunction, n: Optional[int] = None) -> Schedule:
     """Flow-map approximation of the coordinatewise shrink map h x ... x h.
 
     Each 1D stage becomes one tensor step, which applies it to every
     coordinate at once (flows on different coordinates commute).  The flats
-    are given a tiny positive slope beta = eps1 N / alpha and the resulting
-    strictly increasing staircase is compiled exactly from its slope
-    profile, so the sup gap to the ideal shrink map is exactly alpha beta / N
-    per coordinate.  The well must be ReLU-built (piece tables); others
-    raise ValueError before any work.
+    are given a tiny positive slope beta = eps1 N / alpha and the riser
+    slope makes every cell gain exactly 1/N, so the flat of cell i starts at
+    value i/N.  The resulting strictly increasing staircase, extended with
+    slope 1 outside [0, 1], is compiled exactly, so the sup gap to the ideal
+    shrink map is exactly alpha beta / N per coordinate.  The well must be
+    ReLU-built (piece tables); others raise ValueError before any work.
     """
     well.require_piece_tables("build_contraction")
     if n is None:
         n = well.dim
     eps_coord = 0.9 * spec.eps1 / math.sqrt(n)
-    beta = min(0.25, eps_coord * spec.N / spec.alpha)
-    sched_1d = compile_heaviside_flow(_staircase_profile(spec.alpha, spec.N, beta), anchor=0.0)
+    alpha, N = spec.alpha, spec.N
+    beta = min(0.25, eps_coord * N / alpha)
+    riser = (1.0 - alpha * beta) / (1.0 - alpha)
+    cells = np.arange(N, dtype=float)
+    knots = np.concatenate([[0.0], np.column_stack([cells + alpha, cells + 1.0]).ravel() / N])
+    slopes = np.concatenate([[1.0], np.tile([beta, riser], N), [1.0]])
+    sched_1d = compile_pwl_map(knots, slopes, 0.0, 0.0)
     return Schedule(tuple((tensor_field(f, n), tau) for f, tau in sched_1d.steps), n)
 
 

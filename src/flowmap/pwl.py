@@ -114,11 +114,6 @@ class PwlField:
         """Sorted distinct finite kinks -b/w."""
         return self._kinks
 
-    @property
-    def lipschitz_bound(self) -> float:
-        """Exact Lipschitz constant: max absolute slope over pieces."""
-        return float(np.max(np.abs(self._slope))) if len(self._slope) else 0.0
-
     # -- exact flow -------------------------------------------------------
 
     def flow(self, x, tau: float):

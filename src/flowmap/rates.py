@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,13 +20,12 @@ import numpy as np
 from .core import Schedule
 from .families import field_from_terms_1d
 from .targets import Target1D
+from .util import exact_sum
 
 __all__ = [
     "LogDerivativeProfile",
-    "HeavisideDecomposition",
     "GammaResult",
     "tv_log_derivative",
-    "profile_to_jumps",
     "compile_heaviside_flow",
     "translation_gadget",
     "compile_pwl_map",
@@ -43,15 +43,24 @@ class LogDerivativeProfile:
     split at ``breakpoints``.  For kind "sampled" the values live on a fine
     uniform grid and all derived quantities are numeric estimates.  ``tv`` is
     the extended total variation (boundary jumps included); ``tv_interior``
-    omits them.
+    omits them.  Both are correctly rounded sums of the jumps' sizes.
     """
 
     kind: str
     breakpoints: np.ndarray  # interior breakpoints, strictly inside (0, 1)
     values: np.ndarray
-    tv: float
-    tv_interior: float
-    pieces: int
+
+    @cached_property
+    def tv(self) -> float:
+        return exact_sum(np.abs(np.diff(self.values, prepend=0.0, append=0.0)))
+
+    @cached_property
+    def tv_interior(self) -> float:
+        return exact_sum(np.abs(np.diff(self.values)))
+
+    @property
+    def pieces(self) -> int:
+        return len(self.values)
 
     def max_slope(self) -> float:
         """sup of phi' = exp(max u)."""
@@ -64,11 +73,6 @@ class LogDerivativeProfile:
 
 # The sampled TV estimate doubles its grid up to this many derivative samples.
 TV_MAX_SAMPLES = 200_001
-
-
-def _extended_tv(values: np.ndarray) -> float:
-    terms = [abs(values[0])] + [abs(d) for d in np.diff(values)] + [abs(values[-1])]
-    return math.fsum(terms)
 
 
 def tv_log_derivative(target: Target1D) -> LogDerivativeProfile:
@@ -84,12 +88,7 @@ def tv_log_derivative(target: Target1D) -> LogDerivativeProfile:
         slopes = target.pwl.slopes
         if np.any(slopes <= 0):
             raise ValueError("phi' <= 0: log-derivative undefined")
-        u = np.log(slopes)
-        bp = target.pwl.breakpoints[1:-1]
-        return LogDerivativeProfile(kind="pwc", breakpoints=bp, values=u,
-                                    tv=_extended_tv(u),
-                                    tv_interior=math.fsum(abs(d) for d in np.diff(u)),
-                                    pieces=len(u))
+        return LogDerivativeProfile("pwc", target.pwl.breakpoints[1:-1], np.log(slopes))
     if target.derivative is not None:
         def du(x):
             return np.asarray(target.derivative(x), dtype=float)
@@ -107,37 +106,44 @@ def tv_log_derivative(target: Target1D) -> LogDerivativeProfile:
         d = du(xs)
         if np.any(d <= 0):
             raise ValueError("phi' <= 0 detected on the sample grid")
-        u = np.log(d)
-        tv_int = float(np.sum(np.abs(np.diff(u))))
-        tv = tv_int + abs(float(u[0])) + abs(float(u[-1]))
+        profile = LogDerivativeProfile("sampled", xs[1:-1], np.log(d))
+        tv = profile.tv
         if prev is not None and abs(tv - prev) <= 1e-7 * max(1.0, tv):
             break
         if n >= TV_MAX_SAMPLES:
             break
         prev = tv
         n = min(TV_MAX_SAMPLES, 2 * n)
-    return LogDerivativeProfile(kind="sampled", breakpoints=xs[1:-1], values=u,
-                                tv=tv, tv_interior=tv_int, pieces=len(u))
+    return profile
 
 
-@dataclass(frozen=True)
-class HeavisideDecomposition:
-    """Step decomposition of u: jumps (location, height) with cost sum|height|."""
-
-    jumps: tuple
-    cost: float
+def _extended_slopes(values: np.ndarray) -> np.ndarray:
+    """Slopes exp(u) on the pieces of [0, 1], with slope 1 on either side."""
+    return np.concatenate([[1.0], np.exp(values), [1.0]])
 
 
-def profile_to_jumps(profile: LogDerivativeProfile) -> HeavisideDecomposition:
-    """Minimal step decomposition of the extended u, including boundary jumps.
+def _breakpoint_images(bp: np.ndarray, sl: np.ndarray) -> np.ndarray:
+    """M at each breakpoint, M being the map that is sl[0] x left of the first
+    breakpoint and has slope sl[j] on region j: prefix sums of slopes times
+    region widths."""
+    return np.cumsum(np.concatenate([sl[0] * bp[:1], sl[1:-1] * np.diff(bp)]))
 
-    The jump at location 1 does not influence the flow on [0, 1]; it is kept
-    so that the decomposition cost equals the extended total variation.
-    Rejects a pwc profile whose breakpoints are not strictly increasing inside
-    (0, 1) with one value per interval between them.
+
+def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float) -> Schedule:
+    """Exact flow-map realization of an increasing target with pwc ln(phi').
+
+    ``compile_pwl_map`` compiles the target extended with slope 1 outside
+    [0, 1], so each jump of u, the boundary jumps at 0 and 1 included,
+    becomes one stage sign(a) relu(x - kink) for time |a|, a being the log
+    of the slope ratio: the total stage time is the extended TV up to that
+    roundoff.  Every stage fixes 0, so phi(0) = 0, and a nonzero anchor is
+    added by the translation gadget on phi([0, 1]) in time max(0.01,
+    |anchor| / 1e6).  Rejects a profile that is not pwc, whose breakpoints
+    are not strictly increasing inside (0, 1) with one finite value per
+    interval between them.
     """
     if profile.kind != "pwc":
-        raise ValueError("step decomposition requires a piecewise-constant profile")
+        raise ValueError("exact compilation requires a piecewise-constant profile")
     bp, u = profile.breakpoints, profile.values
     if len(u) != len(bp) + 1:
         raise ValueError(f"pwc profile needs one value per interval: {len(u)} values "
@@ -146,46 +152,10 @@ def profile_to_jumps(profile: LogDerivativeProfile) -> HeavisideDecomposition:
         raise ValueError("pwc profile breakpoints must be strictly increasing")
     if not np.all((bp > 0.0) & (bp < 1.0)):
         raise ValueError("pwc profile breakpoints must lie strictly inside (0, 1)")
-    jumps = [(0.0, float(u[0]))]
-    for c, d in zip(bp, np.diff(u)):
-        jumps.append((float(c), float(d)))
-    jumps.append((1.0, float(-u[-1])))
-    cost = math.fsum(abs(h) for _, h in jumps)
-    return HeavisideDecomposition(jumps=tuple(jumps), cost=cost)
-
-
-def _relu_stage(sign: float, kink: float):
-    """Normalized stage field sign * relu(x - kink); |v| = |w| = 1."""
-    return field_from_terms_1d([(float(sign), 1.0, -float(kink))], label="stage")
-
-
-def _prefix_images(breakpoints: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """phi(x) = int_0^x exp(u) at the knots [0, breakpoints, 1] for pwc u:
-    prefix sums of piece widths times exp(values)."""
-    widths = np.diff(np.concatenate([[0.0], breakpoints, [1.0]]))
-    return np.concatenate([[0.0], np.cumsum(widths * np.exp(values))])
-
-
-def compile_heaviside_flow(profile: LogDerivativeProfile, anchor: float) -> Schedule:
-    """Exact flow-map realization of an increasing target with pwc ln(phi').
-
-    Each jump of height a at location c becomes the flow of sign(a) *
-    relu(x - kink) for time |a|.  The kink is the image of c under the stages
-    before it, which act on [0, c] as the compiled map phi(x) = int_0^x exp(u)
-    itself, since later stages fix everything left of their kinks.  So every
-    kink is a prefix sum of piece widths times exp(values), computed in one
-    pass.  Every stage fixes 0, so phi(0) = 0 and a nonzero anchor is added by
-    the translation gadget on [0, max(phi(1), 1)] in time 0.01.
-    Total stage time equals the decomposition cost (the extended TV).
-    """
-    dec = profile_to_jumps(profile)
-    img = _prefix_images(profile.breakpoints, profile.values)
-    steps = tuple((_relu_stage(math.copysign(1.0, a), kink), abs(a))
-                  for (_, a), kink in zip(dec.jumps, img.tolist()) if a != 0.0)
-    sched = Schedule(steps, 1)
-    if anchor != 0.0:
-        sched = sched.then(translation_gadget(anchor, 0.01, lo=0.0, hi=max(float(img[-1]), 1.0)))
-    return sched
+    if not np.all(np.isfinite(u)):
+        raise ValueError("pwc profile values must be finite")
+    return compile_pwl_map(np.concatenate([[0.0], bp, [1.0]]), _extended_slopes(u),
+                           0.0, anchor, slack=0.01, cover=(0.0, 1.0))
 
 
 def translation_gadget(delta: float, slack: float, lo: float = 0.0, hi: float = 1.0) -> Schedule:
@@ -230,10 +200,17 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
     sum of slopes times region widths; M at ``anchor_x`` and at the ends of
     the gadget's interval come from the same values.  The gadget is rigid on
     the image of ``cover`` = (lo, hi) joined with ``anchor_x``; by default
-    +/-(max(|anchor_x|, max |breakpoints|) + 1).
+    +/-(max(|anchor_x|, max |breakpoints|) + 1).  Every argument must be
+    finite, and a given cover must have lo < hi.
     """
     bp = np.asarray(breakpoints, dtype=float)
     sl = np.asarray(slopes, dtype=float)
+    for name, arg in (("breakpoints", bp), ("slopes", sl), ("anchor_x", anchor_x),
+                      ("anchor_value", anchor_value)):
+        if not np.all(np.isfinite(arg)):
+            raise ValueError(f"{name} must be finite")
+    if cover is not None and not -math.inf < cover[0] < cover[1] < math.inf:
+        raise ValueError(f"cover must be a finite (lo, hi) with lo < hi, got {cover}")
     if len(sl) != len(bp) + 1:
         raise ValueError("need one slope per region")
     if np.any(sl <= 0):
@@ -249,11 +226,12 @@ def compile_pwl_map(breakpoints, slopes, anchor_x: float, anchor_value: float,
         steps.append((field_from_terms_1d([(sgn, 1.0, 0.0)], label="scale+"), t))
         steps.append((field_from_terms_1d([(-sgn, -1.0, 0.0)], label="scale-"), t))
 
-    kinks = np.cumsum(np.concatenate([s0 * bp[:1], sl[1:-1] * np.diff(bp)]))
+    kinks = _breakpoint_images(bp, sl)
     for kink, ratio in zip(kinks.tolist(), sl[1:] / sl[:-1]):
         a = math.log(ratio)
-        if a != 0.0:
-            steps.append((_relu_stage(math.copysign(1.0, a), kink), abs(a)))
+        if a != 0.0:  # normalized stage sign(a) relu(x - kink), |v| = |w| = 1
+            stage = field_from_terms_1d([(math.copysign(1.0, a), 1.0, -kink)], label="stage")
+            steps.append((stage, abs(a)))
     sched = Schedule(tuple(steps), 1)
 
     def image(x):
@@ -359,7 +337,7 @@ class BudgetedApproximation:
 
 
 def budgeted_schedule(target: Target1D, T: float) -> BudgetedApproximation:
-    """Constructed approximant within time budget T (plus the translation's 0.01).
+    """Constructed approximant within time budget T plus the translation's time.
 
     Quantizes u toward zero by gamma (monotone u of one sign: soft shrink,
     which is exactly budget-tight; any other u: tube projection), compiles the
@@ -367,16 +345,12 @@ def budgeted_schedule(target: Target1D, T: float) -> BudgetedApproximation:
     """
     profile = _pwc_profile(target)
     res = gamma_relaxed(profile, T)
-    g, v = res.value, _quantize(profile, res)
-    vtv = _extended_tv(v)
-    qprofile = LogDerivativeProfile(kind="pwc", breakpoints=profile.breakpoints,
-                                    values=v, tv=vtv,
-                                    tv_interior=math.fsum(abs(d) for d in np.diff(v)),
-                                    pieces=len(v))
+    v = _quantize(profile, res)
+    qprofile = LogDerivativeProfile("pwc", profile.breakpoints, v)
     anchor = float(np.asarray(target.fn(0.0), dtype=float))
     sched = compile_heaviside_flow(qprofile, anchor)
-    return BudgetedApproximation(schedule=sched, gamma=g, quantized_values=v,
-                                 quantized_tv=vtv, budget=T)
+    return BudgetedApproximation(schedule=sched, gamma=res.value, quantized_values=v,
+                                 quantized_tv=qprofile.tv, budget=T)
 
 
 def _pwc_profile(target: Target1D) -> LogDerivativeProfile:
@@ -402,8 +376,8 @@ def rate_sweep(target: Target1D, budgets):
     that ``budgeted_schedule(target, T)`` compiles, up to the roundoff of its
     flow.  M and phi are both piecewise linear with every breakpoint among
     the knots [0, target breakpoints, 1], so the sup is attained at a knot,
-    where M is phi(0) plus the prefix sum that ``compile_heaviside_flow``
-    places its kinks at.  No schedule is built or flowed.
+    where M is phi(0) plus the prefix sum that ``compile_pwl_map`` places
+    its kinks at.  No schedule is built or flowed.
     """
     profile = _pwc_profile(target)
     knots = np.concatenate([[0.0], profile.breakpoints, [1.0]])
@@ -412,7 +386,7 @@ def rate_sweep(target: Target1D, budgets):
     for T in budgets:
         res = gamma_relaxed(profile, float(T))
         bound = float(math.expm1(res.value) * profile.max_slope())
-        img = ref[0] + _prefix_images(profile.breakpoints, _quantize(profile, res))
+        img = ref[0] + _breakpoint_images(knots, _extended_slopes(_quantize(profile, res)))
         measured = float(np.max(np.abs(img - ref)))
         rows.append({"T": float(T), "gamma": res.value, "bound": bound, "measured": measured})
     return rows

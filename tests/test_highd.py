@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowmap.core import flow_eval
-from flowmap.families import (OutsideSign, WellFunction, generic_field, relu_well_nd,
-                              sigmoid_smn)
-from flowmap.highd import (PipelineError, ShrinkSpec, _staircase_profile, approximate_lp,
-                           build_contraction, build_grid_target, separate_points,
-                           transport_points)
-from flowmap.rates import compile_heaviside_flow
+from flowmap.core import Schedule, flow_eval
+from flowmap.families import (OutsideSign, WellFunction, field_from_terms_1d, generic_field,
+                              relu_well_nd, sigmoid_smn)
+from flowmap.highd import (PipelineError, ShrinkSpec, approximate_lp, build_contraction,
+                           build_grid_target, separate_points, transport_points)
 from flowmap.targets import TargetSpec, builtin_target_nd
 from flowmap.tensor import tensor_transport
 from flowmap.util import collision_counts
@@ -83,10 +81,22 @@ class TestShrink:
     @settings(max_examples=30, deadline=None)
     def test_relu_contraction_is_one_tensor_step_per_1d_stage(self, alpha, N, n, eps1, seed):
         sched = build_contraction(ShrinkSpec(alpha=alpha, N=N, eps1=eps1), relu_well_nd(n), n=n)
-        # The 1D staircase schedule of the exact route, at its per-coordinate budget.
+        # The 1D contraction, one scalar stage per tensor step, is the ideal
+        # staircase through (i/N, i/N) and ((i + alpha)/N, i/N + alpha beta/N)
+        # at the per-coordinate budget.
+        sched_1d = Schedule(tuple((field_from_terms_1d(f.pwl.terms), tau)
+                                  for f, tau in sched.steps), 1)
         beta = min(0.25, 0.9 * eps1 / math.sqrt(n) * N / alpha)
-        sched_1d = compile_heaviside_flow(_staircase_profile(alpha, N, beta), anchor=0.0)
-        assert len(sched) == len(sched_1d)
+        riser = (1.0 - alpha * beta) / (1.0 - alpha)
+        i = np.arange(N)
+        knots = np.append(np.column_stack([i, i + alpha]).ravel() / N, 1.0)
+        vals = np.append(np.column_stack([i / N, i / N + alpha * beta / N]).ravel(), 1.0)
+        xs = np.concatenate([knots, np.linspace(0.0, 1.0, 101)])
+        # Roundoff: an image on a flat is off by about an ulp, which the
+        # riser's stage then stretches by riser / beta.
+        np.testing.assert_allclose(flow_eval(sched_1d, xs[:, None])[:, 0],
+                                   np.interp(xs, knots, vals), rtol=0,
+                                   atol=4 * np.finfo(float).eps * riser / beta)
         pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(64, n))
         out = flow_eval(sched, pts)
         for k in range(n):
@@ -97,7 +107,7 @@ class TestShrink:
         def no_build(*args, **kwargs):
             raise AssertionError("contraction work started")
 
-        monkeypatch.setattr("flowmap.highd.compile_heaviside_flow", no_build)
+        monkeypatch.setattr("flowmap.highd.compile_pwl_map", no_build)
         monkeypatch.setattr("flowmap.highd.tensor_field", no_build)
         for well in (smooth_well(1), smooth_well(2)):
             with pytest.raises(ValueError, match="needs a ReLU-built well.*no piece tables"):

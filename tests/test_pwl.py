@@ -241,10 +241,6 @@ class TestFieldAlgebra:
         expect = 0.5 * np.maximum(-xs + 0.2, 0) - 0.3 * np.maximum(xs + 0.7, 0)
         np.testing.assert_allclose(p(xs), expect, rtol=1e-14)
 
-    def test_lipschitz_is_max_piece_slope(self):
-        p = PwlField([(1.0, 1.0, 0.0), (2.0, 1.0, -1.0)])
-        assert p.lipschitz_bound == 3.0  # both terms active right of 1
-
     # Ten terms, all active on the last piece: there numpy sums pairwise and
     # the in-order sum of the slopes 0.1 k differs in the last bit.
     @example([(0.1 * k, 1.0, -k / 16.0) for k in range(1, 11)])

@@ -11,8 +11,7 @@ from flowmap.core import flow_eval
 from flowmap.pwl import PwlField
 from flowmap.rates import (LogDerivativeProfile, budgeted_schedule,
                            compile_heaviside_flow, compile_pwl_map, gamma_relaxed,
-                           profile_to_jumps, rate_sweep, translation_gadget,
-                           tv_log_derivative)
+                           rate_sweep, translation_gadget, tv_log_derivative)
 from flowmap.targets import PwlData, Target1D, builtin_target_1d
 
 
@@ -22,9 +21,25 @@ def pwl_target(breaks, slopes, anchor=0.0):
 
 
 def pwc_profile(breakpoints, values):
-    bp, u = np.asarray(breakpoints, float), np.asarray(values, float)
-    return LogDerivativeProfile(kind="pwc", breakpoints=bp, values=u, tv=0.0,
-                                tv_interior=0.0, pieces=len(u))
+    return LogDerivativeProfile("pwc", np.asarray(breakpoints, float), np.asarray(values, float))
+
+
+def extended_jumps(values):
+    """Jumps of u extended by zero outside [0, 1]: u[0], the interior
+    differences, then -u[-1]."""
+    u = [0.0, *values, 0.0]
+    return [b - a for a, b in zip(u[:-1], u[1:])]
+
+
+@st.composite
+def log_slope_lists(draw):
+    """1-20 log-slopes, with zeros and repeated adjacent values."""
+    u = draw(st.lists(st.sampled_from([0.0, -0.5, 1.25]) | st.floats(-3.0, 3.0),
+                      min_size=1, max_size=20))
+    for j in range(1, len(u)):
+        if draw(st.booleans()):
+            u[j] = u[j - 1]
+    return u
 
 
 @st.composite
@@ -88,6 +103,18 @@ class TestTvLogDerivative:
         with pytest.raises(ValueError):
             tv_log_derivative(builtin_target_1d("dec1"))
 
+    @example([0.0])
+    @example([0.7])
+    @example([0.3, 0.3])
+    @given(log_slope_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_derived_totals_are_exact_sums(self, values):
+        p = pwc_profile(np.linspace(0.0, 1.0, len(values) + 1)[1:-1], values)
+        jumps = extended_jumps(values)
+        assert p.tv == math.fsum(abs(a) for a in jumps)
+        assert p.tv_interior == math.fsum(abs(a) for a in jumps[1:-1])
+        assert p.pieces == len(values)
+
 
 class TestCompileHeaviside:
     def test_flat_profile_identity(self):
@@ -130,11 +157,6 @@ class TestCompileHeaviside:
         with pytest.raises(ValueError):
             compile_heaviside_flow(profile, anchor=0.0)
 
-    def test_decomposition_cost_equals_tv(self):
-        profile = tv_log_derivative(builtin_target_1d("pwl4"))
-        dec = profile_to_jumps(profile)
-        assert dec.cost == profile.tv
-
     @given(random_pwl_targets())
     @settings(max_examples=60, deadline=None)
     def test_kinks_match_flow_composition_and_target(self, target):
@@ -143,7 +165,10 @@ class TestCompileHeaviside:
         profile = tv_log_derivative(target)
         anchor = target.pwl.anchor
         sched = compile_heaviside_flow(profile, anchor=anchor)
-        jumps = [c for c, a in profile_to_jumps(profile).jumps if a != 0.0]
+        # A stage sits at every knot where the slope, 1 outside [0, 1], changes.
+        knots = np.concatenate([[0.0], profile.breakpoints, [1.0]])
+        slopes = np.concatenate([[1.0], np.exp(profile.values), [1.0]])
+        jumps = knots[slopes[1:] != slopes[:-1]].tolist()
         stages = sched.steps[:len(jumps)]
         assert [f.label for f, _ in sched.steps[len(jumps):]] == \
             ([] if anchor == 0.0 else ["shift_contract", "shift_expand"])
@@ -170,6 +195,9 @@ class TestCompileHeaviside:
         ([0.6, 0.3], [0.1, 0.2, 0.3], "strictly increasing"),
         ([0.0, 0.5], [0.1, 0.2, 0.3], "inside"),
         ([0.5, 1.2], [0.1, 0.2, 0.3], "inside"),
+        ([0.5], [0.1, math.nan], "finite"),
+        ([0.5], [math.inf, 0.2], "finite"),
+        ([0.5], [0.1, -math.inf], "finite"),
     ])
     def test_malformed_profile_rejected(self, breakpoints, values, defect):
         with pytest.raises(ValueError, match=defect):
@@ -229,6 +257,27 @@ class TestCompilePwlMap:
             compile_pwl_map([0.0], [1.0], 0.0, 0.0)
         with pytest.raises(ValueError):
             compile_pwl_map([0.0], [1.0, -1.0], 0.0, 0.0)
+
+    @pytest.mark.parametrize("args,kwargs,name", [
+        (([0.0, math.nan], [1.0, 2.0, 1.0], 0.0, 0.0), {}, "breakpoints"),
+        (([-math.inf], [1.0, 2.0], 0.0, 0.0), {}, "breakpoints"),
+        (([0.0], [1.0, math.inf], 0.0, 0.0), {}, "slopes"),
+        (([0.0], [math.nan, 1.0], 0.0, 0.0), {}, "slopes"),
+        (([0.0], [1.0, 2.0], math.nan, 0.0), {}, "anchor_x"),
+        (([0.0], [1.0, 2.0], 0.0, math.nan), {}, "anchor_value"),
+        (([0.0], [1.0, 2.0], 0.0, -math.inf), {}, "anchor_value"),
+        (([], [2.0], 0.0, -1.0), {"cover": (2.0, 0.0)}, "cover"),
+        (([], [2.0], 0.0, -1.0), {"cover": (1.0, 1.0)}, "cover"),
+        (([], [2.0], 0.0, -1.0), {"cover": (0.0, math.inf)}, "cover"),
+        (([], [2.0], 0.0, -1.0), {"cover": (math.nan, 1.0)}, "cover"),
+    ])
+    def test_nonfinite_arguments_and_empty_cover_rejected(self, args, kwargs, name, monkeypatch):
+        def no_build(*a, **k):
+            raise AssertionError("a stage was built")
+
+        monkeypatch.setattr(rates, "field_from_terms_1d", no_build)
+        with pytest.raises(ValueError, match=name):
+            compile_pwl_map(*args, **kwargs)
 
 
 @st.composite
@@ -324,7 +373,7 @@ class TestGammaRelaxed:
         built = budgeted_schedule(target, T)
         v = built.quantized_values
         assert built.gamma == res.value
-        assert rates._extended_tv(v) <= T + 1e-9
+        assert math.fsum(abs(a) for a in extended_jumps(v.tolist())) <= T + 1e-9
         assert np.max(np.abs(p.values - v)) <= res.value + 1e-12
         if res.optimal and res.value > 0.0:
             # No narrower tube fits T: the lazy path is the cheapest in a tube.

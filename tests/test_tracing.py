@@ -42,3 +42,14 @@ def test_one_relu_field_records_one_field_and_one_table_build():
         flowmap.families.relu_field([[0.5, -1.0]], [[1.0], [2.0]], [0.0, -1.0])
     assert tracer.calls["families.relu_field"] == 1
     assert tracer.calls["pwl.tables"] == 1
+
+
+def test_budgeted_schedule_records_one_heaviside_compile():
+    # rates.compile_heaviside_flow.s is the rate path's compile time; if
+    # budgeted_schedule stopped calling the public function, the metric would
+    # read 0 instead of failing.
+    target = flowmap.builtin_target_1d("pwl4")
+    with Tracer() as tracer:
+        flowmap.budgeted_schedule(target, 1.0)
+    assert tracer.calls["rates.budgeted_schedule"] == 1
+    assert tracer.calls["rates.compile_heaviside_flow"] == 1
